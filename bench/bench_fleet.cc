@@ -7,8 +7,7 @@
  * arrives at once, every one of them wants BBT translation and SBT
  * optimization during exactly the window the others do too. This
  * harness boots the same fleet twice -- cold, and warm-started from
- * per-workload translation repositories captured by a priming run --
- * and reports the startup-latency distribution (admission to the
+ * one image merged from per-workload priming captures -- and reports the startup-latency distribution (admission to the
  * first `--milestone` retired instructions, on the fleet's
  * deterministic virtual cycle clock) plus the aggregate host-side
  * guest MIPS.
@@ -16,8 +15,10 @@
  * The warm fleet boots from ONE shared zero-copy translation image:
  * the per-class priming captures are merged through the content-
  * addressed ImageBuilder (cross-class records deduped by guest-page
- * content) and every context installs borrowed views out of the same
- * mapping -- one parse, one physical copy, relocation-only installs.
+ * content), served to the fleet through an in-process ImageStore
+ * endpoint, and every context installs borrowed views out of the
+ * same mapping -- one verify, one physical copy, relocation-only
+ * installs.
  *
  * The binary self-gates: it exits non-zero unless every context
  * reaches the milestone, the warm fleet's p99 time-to-milestone is
@@ -51,7 +52,7 @@ namespace
  * past it is bounded by one run. Hot counts persist across reruns,
  * so the hot set crosses the SBT threshold within the first couple
  * million instructions -- inside the priming window, which is what
- * puts the superblocks into the warm repositories.
+ * puts the superblocks into the warm image.
  */
 workload::ProgramParams
 fleetWorkloadShape()
@@ -65,16 +66,16 @@ fleetWorkloadShape()
 }
 
 /**
- * Prime one warm repository per workload class: run a solo tenant of
+ * Prime one capture per workload class: run a solo tenant of
  * that class to prime_insns and capture its translations, hot counts
  * and branch profile, exactly what a production host would persist
  * from the previous boot.
  */
-std::vector<std::shared_ptr<const dbt::Repository>>
-primeWarmRepos(const fleet::FleetConfig &cfg, u64 prime_insns)
+std::vector<dbt::Repository>
+primeCaptures(const fleet::FleetConfig &cfg, u64 prime_insns)
 {
-    std::vector<std::shared_ptr<const dbt::Repository>> repos;
-    repos.reserve(cfg.workloads);
+    std::vector<dbt::Repository> captures;
+    captures.reserve(cfg.workloads);
     const engine::EngineConfig tcfg =
         fleet::tenantEngineConfig(cfg.engineCfg);
     for (unsigned w = 0; w < cfg.workloads; ++w) {
@@ -98,10 +99,9 @@ primeWarmRepos(const fleet::FleetConfig &cfg, u64 prime_insns)
                 break;
             }
         }
-        repos.push_back(std::make_shared<const dbt::Repository>(
-            vm.captureWarmStart()));
+        captures.push_back(vm.captureWarmStart());
     }
-    return repos;
+    return captures;
 }
 
 /** Build stats of the one shared image the warm fleet boots from. */
@@ -124,11 +124,11 @@ SharedImage
 buildSharedImage(const fleet::FleetConfig &cfg, u64 prime_insns,
                  u64 budget_bytes)
 {
-    const auto repos = primeWarmRepos(cfg, prime_insns);
+    const auto captures = primeCaptures(cfg, prime_insns);
     dbt::ImageBuilder builder(
         dbt::ImageBuilder::Options{budget_bytes, 1});
-    for (const auto &r : repos)
-        builder.add(*r);
+    for (const dbt::Repository &r : captures)
+        builder.add(r);
     const std::vector<u8> blob = builder.build();
 
     SharedImage si;
@@ -277,7 +277,7 @@ main(int argc, char **argv)
     const SharedImage si = buildSharedImage(
         cfg, 2 * cfg.targetInsns,
         static_cast<u64>(cli.num("image-budget")));
-    cfg.warmImage = si.image;
+    cfg.imageEndpoint = std::make_shared<dbt::ImageStore>(si.image);
     std::printf("shared image: %llu records in %llu bytes "
                 "(%llu cross-class dedupe hits, %llu evicted)\n",
                 static_cast<unsigned long long>(si.records),

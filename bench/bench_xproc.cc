@@ -5,15 +5,15 @@
  *
  * bench_fleet shows the zero-copy image amortizing translation across
  * contexts *within* a process; this harness proves the same image
- * amortizes across *processes*. The parent primes per-class warm
- * repositories, merges them into one content-addressed image, and
- * forks a daemon child (serve::ImageHost) that seals the blob into a
- * memfd. For each rung of the mapper ladder (1 -> 4 -> N) it then
- * forks N mapper processes: each connects to the daemon, receives the
- * sealed fd over SCM_RIGHTS, maps it MAP_SHARED, warm-boots a VM from
- * the mapping, and runs to the startup milestone on the fleet's
- * deterministic virtual cycle clock. A cold series of the same N
- * processes (no daemon) is the baseline.
+ * amortizes across *processes*. The parent primes and captures each
+ * workload class, merges the captures into one content-addressed
+ * image, and forks a daemon child (serve::ImageHost) that seals the
+ * blob into a memfd. For each rung of the mapper ladder (1 -> 4 -> N)
+ * it then forks N mapper processes: each connects to the daemon,
+ * receives the sealed fd over SCM_RIGHTS, maps it MAP_SHARED,
+ * warm-boots a VM from the mapping, and runs to the startup milestone
+ * on the fleet's deterministic virtual cycle clock. A cold series of
+ * the same N processes (no daemon) is the baseline.
  *
  * Sharing proof: after reaching the milestone every mapper parks on a
  * pipe barrier, so all N hold their mappings concurrently, then reads
@@ -198,11 +198,8 @@ runMapper(const XprocConfig &xc, unsigned index, bool warm,
     // charge it out of band at the mapped (relocation-only) rate,
     // exactly as fleet admission does.
     const vmm::VmmStats &st = vm.stats();
-    const bool mapped = st.warmMappedBytes > 0;
-    clock.charge(
-        (mapped ? xc.weights.warmInstallMapped
-                : xc.weights.warmInstall) *
-        static_cast<double>(st.warmInsnsInstalled));
+    clock.charge(xc.weights.warmInstallMapped *
+                 static_cast<double>(st.warmInsnsInstalled));
 
     bool ran_ok = true;
     while (st.totalRetired() < xc.milestoneInsns) {
@@ -386,7 +383,7 @@ runBatch(const XprocConfig &xc, unsigned n, bool warm)
     return batch;
 }
 
-/** Prime one repository per workload class (bench_fleet's recipe:
+/** Prime one capture per workload class (bench_fleet's recipe:
  *  prime PAST the milestone so the hot set is fully optimized). */
 std::vector<u8>
 buildImageBlob(const XprocConfig &xc, u64 prime_insns, u64 &records)

@@ -20,8 +20,8 @@
  *
  * With --contexts > 1 the quickstart instead boots a multi-tenant
  * fleet (src/fleet): N contexts admitted along --arrival, time-sliced
- * by --policy, cold and then warm-started from per-workload
- * repositories primed in-process:
+ * by --policy, cold and then warm-started from one image merged from
+ * per-workload captures primed in-process:
  *
  *   $ ./build/examples/quickstart --contexts=64 --arrival=poisson:8
  */
@@ -77,7 +77,7 @@ machineFor(const std::string &name, bool warm_start)
     else if (name == "vm.interp")
         m = timing::MachineConfig::vmInterp();
     // --load-cache also warm-starts the timing model: translations are
-    // installed from the repository before the first instruction.
+    // installed from the image before the first instruction.
     if (warm_start) {
         m.warmStart = true;
         m.name += ".warm";
@@ -87,8 +87,8 @@ machineFor(const std::string &name, bool warm_start)
 
 /**
  * Fleet mode (--contexts > 1): boot a multi-tenant storm of the
- * chosen engine configuration, cold and then warm-started from
- * per-workload repositories primed in-process, and report the
+ * chosen engine configuration, cold and then warm-started from one
+ * image merged from per-workload captures, and report the
  * startup-latency distribution on the fleet's virtual cycle clock.
  */
 int
@@ -138,9 +138,11 @@ runFleet(const Cli &cli, const vmm::VmmConfig &base)
                 cr.p50TimeToMilestone, cr.p99TimeToMilestone,
                 cr.guestMips);
 
-    // Warm series: prime one repository per workload class.
+    // Warm series: prime every workload class and merge the captures
+    // into one image the whole fleet boots from.
     const engine::EngineConfig tcfg =
         fleet::tenantEngineConfig(cfg.engineCfg);
+    dbt::ImageBuilder builder;
     for (unsigned w = 0; w < cfg.workloads; ++w) {
         workload::ProgramParams p = cfg.workloadParams;
         p.seed = fleet::deriveSeed(cfg.fleetSeed, w);
@@ -157,10 +159,15 @@ runFleet(const Cli &cli, const vmm::VmmConfig &base)
             else if (e != Exit::None)
                 break;
         }
-        cfg.warmRepos.push_back(
-            std::make_shared<const dbt::Repository>(
-                vm.captureWarmStart()));
+        builder.add(vm.captureWarmStart());
     }
+    auto image = std::make_shared<dbt::TransImage>();
+    if (dbt::TransImage::adopt(builder.build(), *image) !=
+        dbt::LoadError::None) {
+        std::fprintf(stderr, "fleet image failed verification\n");
+        return 1;
+    }
+    cfg.imageEndpoint = std::make_shared<dbt::ImageStore>(image);
     fleet::FleetServer warm(cfg);
     const fleet::FleetResult wr = warm.run();
     std::printf("warm: %u/%u contexts done, p50/p99 to %lluk insns = "
@@ -205,10 +212,10 @@ main(int argc, char **argv)
              "vm.interp|vm.soft.tmpl|vm.be.tmpl|vm.soft.async|"
              "vm.be.async");
     cli.flag("load-cache", "",
-             "warm start: load a translation repository saved by a "
-             "previous run (stale entries fall back to cold)");
+             "warm start: map a translation image saved by a "
+             "previous run (stale records fall back to cold)");
     cli.flag("save-cache", "",
-             "save the translation repository after the run");
+             "save the translation image after the run");
     cli.flag("cache-budget", "0",
              "size budget in bytes for the saved translation image "
              "(0: unbounded; the coldest records are evicted to fit)");
@@ -384,9 +391,8 @@ main(int argc, char **argv)
                         st.warmRelocations),
                     static_cast<unsigned long long>(
                         st.warmMappedBytes),
-                    st.warmMappedBytes
-                        ? "(zero-copy image)"
-                        : "(legacy repository)");
+                    st.warmMappedBytes ? "(zero-copy image)"
+                                       : "(no image: cold boot)");
     }
     if (cfg.asyncTranslators > 0) {
         std::printf("  async SBT requests:     %llu (%llu installed, "
@@ -463,7 +469,7 @@ main(int argc, char **argv)
     }
 
     if (!cfg.warmStartSavePath.empty()) {
-        std::printf("\nsaved translation repository: %s (%s)\n",
+        std::printf("\nsaved translation image: %s (%s)\n",
                     cfg.warmStartSavePath.c_str(),
                     vm.saveWarmStart() ? "ok" : "FAILED");
     }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "uops/encoding.hh"
@@ -124,7 +122,7 @@ sameRecord(const SavedTranslation &a, const SavedTranslation &b)
            a.body == b.body;
 }
 
-/** Expand one image record back into a v1-style entry (decoded body
+/** Expand one image record back into a capture entry (body
  *  re-encoded, provenance from the in-place Uop tags). */
 SavedTranslation
 expandRecord(const TransImage::RecordView &v)
@@ -188,8 +186,6 @@ TransImage::operator=(TransImage &&other) noexcept
     backing = std::move(other.backing);
     base = other.base;
     len = other.len;
-    deltas = other.deltas;
-    migrated = other.migrated;
     hdr = other.hdr;
     pages = other.pages;
     dedupe = other.dedupe;
@@ -207,8 +203,6 @@ TransImage::reset()
     backing = MapSource();
     base = nullptr;
     len = 0;
-    deltas = 0;
-    migrated = false;
     hdr = nullptr;
     pages = {};
     dedupe = {};
@@ -225,10 +219,12 @@ TransImage::verify()
     // magic/version/size gates; every *record* field is read only
     // after the whole-image checksum passed, so a bit flip can never
     // reach a raw-POD load (no UB on corrupt input).
-    if (len < sizeof(ImageHeader))
+    if (len < 8)
         return LoadError::Truncated;
     if (readU64(base) != IMAGE_MAGIC)
         return LoadError::BadMagic;
+    if (len < sizeof(ImageHeader))
+        return LoadError::Truncated;
     u32 version = 0;
     std::memcpy(&version, base + 8, sizeof version);
     if (version != IMAGE_VERSION)
@@ -348,17 +344,7 @@ TransImage::record(std::size_t i) const
 LoadError
 TransImage::adopt(std::span<const u8> bytes, TransImage &out)
 {
-    TransImage img;
-    img.backing = MapSource::ownedCopy(bytes);
-    img.base = img.backing.data();
-    img.len = img.backing.size();
-    const LoadError e = img.verify();
-    if (e != LoadError::None)
-        return e;
-    if (img.hdr->totalBytes != img.len)
-        return LoadError::Corrupt; // trailing garbage after the image
-    out = std::move(img);
-    return LoadError::None;
+    return fromSource(MapSource::ownedCopy(bytes), out);
 }
 
 LoadError
@@ -388,67 +374,13 @@ TransImage::fromSource(MapSource src, TransImage &out)
     img.backing = std::move(src);
     img.base = img.backing.data();
     img.len = img.backing.size();
-    if (img.len < 8)
-        return LoadError::Truncated;
-
-    // Transparent migration: a v1 "CDVMREPO" file converts through
-    // the builder on first load.
-    if (readU64(img.base) == REPO_MAGIC) {
-        Repository v1;
-        const LoadError e =
-            deserialize({img.base, static_cast<std::size_t>(img.len)},
-                        v1);
-        if (e != LoadError::None)
-            return e;
-        ImageBuilder b;
-        b.add(v1);
-        const std::vector<u8> blob = b.build();
-        const LoadError e2 = adopt(blob, out);
-        if (e2 == LoadError::None)
-            out.migrated = true;
-        return e2;
-    }
-
     const LoadError e = img.verify();
     if (e != LoadError::None)
         return e;
-
-    if (img.hdr->totalBytes == img.len) {
-        out = std::move(img);
-        return LoadError::None;
-    }
-
-    // Append-only delta segments follow the base image; each is an
-    // independently checksummed capture. Verify every segment, then
-    // compact base + deltas into one in-memory generation.
-    std::vector<Repository> delta_repos;
-    u64 pos = img.hdr->totalBytes;
-    while (pos < img.len) {
-        if (img.len - pos < 16)
-            return LoadError::Truncated;
-        if (readU64(img.base + pos) != DELTA_MAGIC)
-            return LoadError::Corrupt;
-        const u64 payload = readU64(img.base + pos + 8);
-        if (payload == 0 || img.len - pos - 16 < payload)
-            return LoadError::Truncated;
-        Repository d;
-        const LoadError de = deserialize(
-            {img.base + pos + 16, static_cast<std::size_t>(payload)},
-            d);
-        if (de != LoadError::None)
-            return de;
-        delta_repos.push_back(std::move(d));
-        pos += 16 + payload;
-    }
-    ImageBuilder b(
-        ImageBuilder::Options{0, img.hdr->generation + 1});
-    b.add(img);
-    for (const Repository &d : delta_repos)
-        b.add(d);
-    const LoadError e2 = adopt(b.build(), out);
-    if (e2 == LoadError::None)
-        out.deltas = static_cast<unsigned>(delta_repos.size());
-    return e2;
+    if (img.hdr->totalBytes != img.len)
+        return LoadError::Corrupt; // trailing bytes after the image
+    out = std::move(img);
+    return LoadError::None;
 }
 
 bool
@@ -458,47 +390,6 @@ TransImage::save(const std::string &path, std::span<const u8> image)
     // complete image or the new one, never a truncated-then-rewritten
     // window.
     return atomicWriteFile(path, image);
-}
-
-bool
-TransImage::appendDelta(const std::string &path,
-                        const Repository &delta)
-{
-    // Only append to something that really is a base image.
-    {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        if (!f) {
-            setLastIoErrno(errno);
-            return false;
-        }
-        u8 magic[8];
-        const bool head_ok =
-            std::fread(magic, 1, sizeof magic, f) == sizeof magic;
-        if (std::fclose(f) != 0)
-            setLastIoErrno(errno);
-        if (!head_ok || readU64(magic) != IMAGE_MAGIC)
-            return false;
-    }
-    const std::vector<u8> payload = serialize(delta);
-    std::vector<u8> seg;
-    putU64(seg, DELTA_MAGIC);
-    putU64(seg, payload.size());
-    seg.insert(seg.end(), payload.begin(), payload.end());
-    std::FILE *f = std::fopen(path.c_str(), "ab");
-    if (!f) {
-        setLastIoErrno(errno);
-        return false;
-    }
-    bool ok =
-        std::fwrite(seg.data(), 1, seg.size(), f) == seg.size();
-    if (!ok)
-        setLastIoErrno(errno);
-    if (std::fclose(f) != 0) {
-        if (ok)
-            setLastIoErrno(errno);
-        ok = false;
-    }
-    return ok;
 }
 
 Repository

@@ -1,18 +1,17 @@
 /**
  * @file
- * Zero-copy shared translation image: the warm-start repository laid
- * out as one contiguous, page-aligned, content-addressed blob that is
- * mmap'd (or adopted with a single memcpy) and patched in a single
- * relocation pass.
+ * Zero-copy shared translation image: the one on-disk warm-start
+ * format. Captured translations (dbt/persist's in-memory Repository)
+ * are laid out as one contiguous, page-aligned, content-addressed
+ * blob that is mmap'd (or adopted with a single memcpy) and patched
+ * in a single relocation pass.
  *
- * The v1 repository (dbt/persist) decodes and copies every record
- * body at load: varint uop decode, x86pc side-table re-attachment,
- * re-encode into the code cache. This format stores the execution
- * form directly -- raw trivially-copyable uops::Uop arrays with the
- * precise-state tags already attached -- so a warm install binds a
- * Translation to a *view* into the mapped image and never touches the
- * body bytes. N fleet contexts (and sibling processes mapping the
- * same file) share one physical copy.
+ * The image stores the execution form directly -- raw
+ * trivially-copyable uops::Uop arrays with the precise-state tags
+ * already attached -- so a warm install binds a Translation to a
+ * *view* into the mapped image and never decodes or copies a body.
+ * N fleet contexts (and sibling processes mapping the same file)
+ * share one physical copy.
  *
  * Layout (little-endian, every section 8-aligned):
  *
@@ -41,10 +40,10 @@
  * alive -- and every view into it stays valid -- until its last
  * reader releases the handle.
  *
- * Durability: appendDelta() adds a delta segment (an independently
- * checksummed v1 payload) after the base image without rewriting it;
- * load() verifies and merges the segments through the builder
- * (compaction), and save() writes the compacted result.
+ * Growth: an image is never edited in place. ImageStore::append
+ * merges the current generation with a new capture through the
+ * builder, and save() replaces the file atomically. A file is exactly
+ * one image: bytes past header.totalBytes are rejected as Corrupt.
  */
 
 #ifndef CDVM_DBT_IMAGE_HH
@@ -68,10 +67,8 @@ namespace cdvm::dbt
 
 /** Image file magic ("CDVMIMG2" as a little-endian u64). */
 constexpr u64 IMAGE_MAGIC = 0x32474D494D564443ull;
-/** Image format version (v1 is the CDVMREPO record format). */
+/** Image format version. */
 constexpr u32 IMAGE_VERSION = 2;
-/** Delta-segment magic ("CDVMDSEG" as a little-endian u64). */
-constexpr u64 DELTA_MAGIC = 0x4745534D44564443ull;
 
 /** Section order in the image's section table. */
 enum class ImageSection : u32
@@ -103,7 +100,7 @@ struct ImageHeader
     u64 magic = IMAGE_MAGIC;
     u32 version = IMAGE_VERSION;
     u32 sectionCount = IMAGE_NUM_SECTIONS;
-    u64 totalBytes = 0; //!< base image size (deltas follow, if any)
+    u64 totalBytes = 0; //!< image size (the whole file or buffer)
     /** fnv1a over [0, totalBytes) with this field zeroed. Verified
      *  before any other field of the image is trusted. */
     u64 checksum = 0;
@@ -222,12 +219,10 @@ class TransImage
     TransImage &operator=(const TransImage &) = delete;
 
     /**
-     * Map (or read) an image file. Transparent migration: a v1
-     * "CDVMREPO" file is parsed through dbt/persist and converted in
-     * memory (migratedFromV1() reports it); a v2 image with appended
-     * delta segments is verified segment-by-segment and compacted.
-     * A clean single-segment v2 image stays a zero-copy file mapping.
-     * out is valid only on LoadError::None.
+     * Map (or read) an image file; a verified image stays a zero-copy
+     * file mapping. Anything that is not exactly one current-version
+     * image is rejected with a typed error (BadMagic, BadVersion,
+     * Truncated, Corrupt). out is valid only on LoadError::None.
      */
     static LoadError load(const std::string &path, TransImage &out);
 
@@ -235,8 +230,7 @@ class TransImage
      * Map an already-open image fd MAP_SHARED read-only (the
      * cross-process serving path: a sealed memfd or file received
      * over a Unix-domain socket). The fd is borrowed — the caller may
-     * close it after this returns. Migration and delta merge work
-     * exactly like load().
+     * close it after this returns. Verifies exactly like load().
      */
     static LoadError loadFd(int fd, TransImage &out);
 
@@ -248,14 +242,6 @@ class TransImage
      *  replace: a concurrent mapper never observes a torn image). */
     static bool save(const std::string &path, std::span<const u8> image);
 
-    /**
-     * Append a delta segment -- an independently checksummed capture
-     * -- after the existing base image without rewriting it. load()
-     * merges base + deltas (compaction on read). @return success.
-     */
-    static bool appendDelta(const std::string &path,
-                            const Repository &delta);
-
     const ImageHeader &header() const { return *hdr; }
     u64 sizeBytes() const { return len; }
     /** Backed by a shareable mapping (file or passed fd) rather than
@@ -264,9 +250,6 @@ class TransImage
     MapSource::Kind backingKind() const { return backing.kind(); }
     /** Page-residency snapshot of the backing (dbt.image.pages.*). */
     MapResidency residency() const { return backing.residency(); }
-    /** Delta segments merged at load (0 for a compact image). */
-    unsigned deltaSegments() const { return deltas; }
-    bool migratedFromV1() const { return migrated; }
 
     std::size_t recordCount() const { return recIndex.size(); }
 
@@ -290,8 +273,8 @@ class TransImage
         return branches;
     }
 
-    /** Expand back to a v1-style in-memory repository (round-trip
-     *  tests, delta compaction, v1 interop). */
+    /** Expand back to the in-memory capture form (round-trip
+     *  tests). */
     Repository toRepository() const;
 
   private:
@@ -299,16 +282,14 @@ class TransImage
      *  section views. base/len must already be set. */
     LoadError verify();
     void reset();
-    /** Shared load tail over any backing: v1 migration, verification,
-     *  delta-segment merge. out is valid only on LoadError::None. */
+    /** Shared load tail over any backing: verification, then the
+     *  exactly-one-image check. out is valid only on
+     *  LoadError::None. */
     static LoadError fromSource(MapSource src, TransImage &out);
 
     MapSource backing;        //!< owns the bytes (map or heap copy)
     const u8 *base = nullptr; //!< verified image bytes (8-aligned)
-    u64 len = 0;              //!< full backing size (deltas included)
-
-    unsigned deltas = 0;
-    bool migrated = false;
+    u64 len = 0;              //!< full backing size
 
     const ImageHeader *hdr = nullptr;
     std::span<const ImagePageHash> pages;
@@ -344,7 +325,7 @@ class ImageBuilder
 
     /** Merge a repository's records (dedupe by content + pageKey). */
     void add(const Repository &repo);
-    /** Merge an existing image (compaction / delta merge). */
+    /** Merge an existing image (compaction / ImageStore::append). */
     void add(const TransImage &img);
 
     /** Serialize to the checksummed image blob. */
@@ -401,8 +382,9 @@ class ImageEndpoint
 
 /**
  * Generation store for single-writer / concurrent-reader sharing.
- * Readers acquire the current image handle; the writer merges deltas
- * or compacts into a *new* image and publishes it with one swap. Old
+ * Readers acquire the current image handle; the writer merges a new
+ * capture or compacts into a *new* image and publishes it with one
+ * swap. A pinned image is an ImageStore built around it. Old
  * generations stay valid until their last reader releases the handle
  * (shared_ptr lifetime), so installs racing a publish are safe.
  */

@@ -8,8 +8,9 @@
  * third — a read-only MAP_SHARED mapping of a file descriptor handed
  * over a Unix-domain socket — so the backing becomes its own layer:
  *
- *  - OwnedBuffer:  one 8-aligned heap copy (adopt(), non-unix reads,
- *                  delta compaction). Private to this process.
+ *  - OwnedBuffer:  one 8-aligned heap copy (adopt(), non-unix
+ *                  reads, ImageStore::append). Private to this
+ *                  process.
  *  - FileMap:      a read-only file mapping (warm-start image files).
  *                  Page-cache pages are physically shared with every
  *                  other process mapping the same file.

@@ -23,156 +23,10 @@ namespace
 constexpr std::size_t PAGE_BYTES = 4096;
 constexpr Addr PAGE_MASK = ~static_cast<Addr>(PAGE_BYTES - 1);
 
-// --- little-endian writers/readers ---------------------------------
-
-void
-putU8(std::vector<u8> &out, u8 v)
-{
-    out.push_back(v);
-}
-
-void
-putU32(std::vector<u8> &out, u32 v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<u8>(v >> 8 * i));
-}
-
-void
-putU64(std::vector<u8> &out, u64 v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<u8>(v >> 8 * i));
-}
-
-/** Bounds-checked sequential reader over the serialized image. */
-struct Reader
-{
-    std::span<const u8> buf;
-    std::size_t pos = 0;
-    bool ok = true;
-
-    bool
-    need(std::size_t n)
-    {
-        if (!ok || buf.size() - pos < n)
-            ok = false;
-        return ok;
-    }
-
-    u8
-    getU8()
-    {
-        if (!need(1))
-            return 0;
-        return buf[pos++];
-    }
-
-    u32
-    getU32()
-    {
-        if (!need(4))
-            return 0;
-        u32 v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<u32>(buf[pos++]) << 8 * i;
-        return v;
-    }
-
-    u64
-    getU64()
-    {
-        if (!need(8))
-            return 0;
-        u64 v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<u64>(buf[pos++]) << 8 * i;
-        return v;
-    }
-
-    std::vector<u8>
-    getBytes(std::size_t n)
-    {
-        if (!need(n))
-            return {};
-        std::vector<u8> v(buf.begin() + pos, buf.begin() + pos + n);
-        pos += n;
-        return v;
-    }
-};
-
 u64
 idKey(TransId id)
 {
     return static_cast<u64>(id.idx) << 32 | id.gen;
-}
-
-void
-putEntry(std::vector<u8> &out, const SavedTranslation &e)
-{
-    putU8(out, static_cast<u8>(e.kind));
-    const u8 flags = (e.containsComplex ? 1 : 0) |
-                     (e.endsInCti ? 2 : 0) |
-                     (e.endsInCondBranch ? 4 : 0) |
-                     static_cast<u8>(static_cast<u8>(e.provenance) << 3);
-    putU8(out, flags);
-    putU64(out, e.entryPc);
-    putU32(out, e.numX86Insns);
-    putU32(out, e.x86Bytes);
-    putU64(out, e.fallthroughPc);
-    putU64(out, e.condBranchTarget);
-    putU64(out, e.condBranchPc);
-    putU64(out, e.execCount);
-    putU64(out, e.takenCount);
-    putU64(out, e.notTakenCount);
-    for (const SavedChain &c : e.chains) {
-        putU64(out, c.targetPc);
-        putU32(out, c.record);
-    }
-    putU32(out, static_cast<u32>(e.x86pcs.size()));
-    for (Addr pc : e.x86pcs)
-        putU64(out, pc);
-    putU32(out, static_cast<u32>(e.uopPcs.size()));
-    for (Addr pc : e.uopPcs)
-        putU64(out, pc);
-    putU32(out, static_cast<u32>(e.body.size()));
-    out.insert(out.end(), e.body.begin(), e.body.end());
-}
-
-bool
-getEntry(Reader &r, SavedTranslation &e)
-{
-    const u8 kind = r.getU8();
-    const u8 flags = r.getU8();
-    e.kind = kind ? TransKind::Superblock : TransKind::BasicBlock;
-    e.containsComplex = flags & 1;
-    e.endsInCti = flags & 2;
-    e.endsInCondBranch = flags & 4;
-    e.provenance = static_cast<TransProvenance>((flags >> 3) & 3);
-    e.entryPc = r.getU64();
-    e.numX86Insns = r.getU32();
-    e.x86Bytes = r.getU32();
-    e.fallthroughPc = r.getU64();
-    e.condBranchTarget = r.getU64();
-    e.condBranchPc = r.getU64();
-    e.execCount = r.getU64();
-    e.takenCount = r.getU64();
-    e.notTakenCount = r.getU64();
-    for (SavedChain &c : e.chains) {
-        c.targetPc = r.getU64();
-        c.record = r.getU32();
-    }
-    const u32 n_pcs = r.getU32();
-    e.x86pcs.clear();
-    for (u32 i = 0; i < n_pcs && r.ok; ++i)
-        e.x86pcs.push_back(r.getU64());
-    const u32 n_upcs = r.getU32();
-    e.uopPcs.clear();
-    for (u32 i = 0; i < n_upcs && r.ok; ++i)
-        e.uopPcs.push_back(r.getU64());
-    const u32 n_body = r.getU32();
-    e.body = r.getBytes(n_body);
-    return r.ok;
 }
 
 /** Per-thread errno detail behind LoadError::Io (see lastIoErrno). */
@@ -376,118 +230,6 @@ capture(const TranslationMap &map, const x86::Memory &mem,
     return repo;
 }
 
-std::vector<u8>
-serialize(const Repository &repo)
-{
-    std::vector<u8> out;
-    putU64(out, REPO_MAGIC);
-    putU32(out, REPO_VERSION);
-    putU32(out, 0); // reserved
-    putU32(out, static_cast<u32>(repo.pageHashes.size()));
-    for (const auto &[page, hash] : repo.pageHashes) {
-        putU64(out, page);
-        putU64(out, hash);
-    }
-    putU32(out, static_cast<u32>(repo.entries.size()));
-    for (const SavedTranslation &e : repo.entries)
-        putEntry(out, e);
-    putU32(out, static_cast<u32>(repo.branchProfile.size()));
-    for (const SavedBranchStat &b : repo.branchProfile) {
-        putU64(out, b.pc);
-        putU64(out, b.taken);
-        putU64(out, b.notTaken);
-    }
-    putU64(out, fnv1a(out));
-    return out;
-}
-
-LoadError
-deserialize(std::span<const u8> bytes, Repository &out)
-{
-    // Header + trailing checksum is the minimum plausible file.
-    if (bytes.size() < 8 + 4 + 4 + 8)
-        return LoadError::Truncated;
-
-    Reader r{bytes.subspan(0, bytes.size() - 8)};
-    if (r.getU64() != REPO_MAGIC)
-        return LoadError::BadMagic;
-    if (r.getU32() != REPO_VERSION)
-        return LoadError::BadVersion;
-    r.getU32(); // reserved
-
-    out = Repository{};
-    const u32 n_pages = r.getU32();
-    for (u32 i = 0; i < n_pages && r.ok; ++i) {
-        const Addr page = r.getU64();
-        const u64 hash = r.getU64();
-        out.pageHashes.emplace_back(page, hash);
-    }
-    const u32 n_entries = r.getU32();
-    for (u32 i = 0; i < n_entries && r.ok; ++i) {
-        SavedTranslation e;
-        if (getEntry(r, e))
-            out.entries.push_back(std::move(e));
-    }
-    const u32 n_branch = r.getU32();
-    for (u32 i = 0; i < n_branch && r.ok; ++i) {
-        SavedBranchStat b;
-        b.pc = r.getU64();
-        b.taken = r.getU64();
-        b.notTaken = r.getU64();
-        out.branchProfile.push_back(b);
-    }
-    if (!r.ok)
-        return LoadError::Truncated;
-    if (r.pos != r.buf.size())
-        return LoadError::Corrupt; // trailing garbage before checksum
-
-    const u64 want = fnv1a(bytes.subspan(0, bytes.size() - 8));
-    Reader tail{bytes.subspan(bytes.size() - 8)};
-    if (tail.getU64() != want)
-        return LoadError::Corrupt;
-
-    // Structural sanity: chain records must point into the table.
-    for (const SavedTranslation &e : out.entries) {
-        for (const SavedChain &c : e.chains) {
-            if (c.record != NO_RECORD && c.record >= out.entries.size())
-                return LoadError::Corrupt;
-        }
-    }
-    return LoadError::None;
-}
-
-std::unordered_set<std::size_t>
-staleEntries(const Repository &repo, const x86::Memory &mem)
-{
-    std::unordered_map<Addr, u64> saved(repo.pageHashes.begin(),
-                                        repo.pageHashes.end());
-    std::unordered_map<Addr, bool> page_ok;
-    auto pageFresh = [&](Addr page) {
-        auto cached = page_ok.find(page);
-        if (cached != page_ok.end())
-            return cached->second;
-        auto it = saved.find(page);
-        const bool fresh =
-            it != saved.end() && guestPageHash(mem, page) == it->second;
-        page_ok.emplace(page, fresh);
-        return fresh;
-    };
-
-    std::unordered_set<std::size_t> stale;
-    for (std::size_t i = 0; i < repo.entries.size(); ++i) {
-        for (Addr page : repo.entries[i].coveredPages()) {
-            if (!pageFresh(page)) {
-                stale.insert(i);
-                break;
-            }
-        }
-    }
-    // An entry chained into a stale entry keeps its other links; the
-    // stale link is simply dropped at install time (the record is
-    // never installed, so the re-bind finds no target).
-    return stale;
-}
-
 bool
 atomicWriteFile(const std::string &path, std::span<const u8> bytes)
 {
@@ -556,36 +298,6 @@ atomicWriteFile(const std::string &path, std::span<const u8> bytes)
         std::remove(tmp.c_str());
     return ok;
 #endif
-}
-
-bool
-saveFile(const std::string &path, const Repository &repo)
-{
-    const std::vector<u8> bytes = serialize(repo);
-    return atomicWriteFile(path, bytes);
-}
-
-LoadError
-loadFile(const std::string &path, Repository &out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        setLastIoErrno(errno);
-        return LoadError::Io;
-    }
-    std::vector<u8> bytes;
-    u8 buf[65536];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        bytes.insert(bytes.end(), buf, buf + n);
-    const bool read_err = std::ferror(f) != 0;
-    if (read_err)
-        setLastIoErrno(errno);
-    if (std::fclose(f) != 0 && !read_err)
-        setLastIoErrno(errno);
-    if (read_err)
-        return LoadError::Io;
-    return deserialize(bytes, out);
 }
 
 } // namespace cdvm::dbt

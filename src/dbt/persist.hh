@@ -1,32 +1,23 @@
 /**
  * @file
- * Persistent translation repository: save a TranslationMap's contents
- * (and a branch-direction profile) to a versioned binary file and load
- * it back in a later run, so a warm-started VM skips most of the BBT
- * startup transient the paper measures.
+ * In-memory capture form of the warm-start translations, plus the
+ * helpers the image format (dbt/image) and its loaders share.
  *
- * The handle refactor makes this possible: a Translation is a
+ * The handle refactor makes capture possible: a Translation is a
  * relocatable value (chains are {targetPc, TransId}, never pointers;
- * codeAddr is recomputed at install time), so a saved record is just
- * the translation's value fields plus its micro-op body re-encoded
- * through uops/encoding. Chains are saved as indices into the record
- * table and re-bound to fresh TransIds after the load-time installs.
+ * codeAddr is recomputed at install time), so a captured entry is the
+ * translation's value fields plus its micro-op body encoded through
+ * uops/encoding. Chains are captured as indices into the entry table.
  *
- * On-disk format (all fields little-endian):
+ * A Repository never goes to disk as such: ImageBuilder turns one or
+ * more captures into the CDVMIMG2 image, which is the only on-disk
+ * translation format.
  *
- *   u64 magic "CDVMREPO" | u32 version | u32 reserved
- *   u32 nPages   { u64 pageAddr, u64 fnv1aHashOfPage }*
- *   u32 nEntries { kind/flags, pcs, counts, profile, chains,
- *                  x86pc side table, encoded uop body }*
- *   u32 nBranch  { u64 pc, u64 taken, u64 notTaken }*
- *   u64 fnv1aChecksumOfEverythingAbove
- *
- * Robustness: deserialize() rejects bad magic, unknown versions,
- * truncation, and any bit flip (whole-file checksum). Staleness is
- * per-entry: the per-page hashes of the guest code captured at save
- * time are compared against current guest memory at load time, and
- * any entry touching a changed page is invalidated (the VM silently
- * falls back to cold translation for it).
+ * Staleness is content-addressed: capture records the fnv1a hash of
+ * every guest code page an entry touches, the builder folds them into
+ * each image record's pageKey, and the installer recomputes that key
+ * against current guest memory (the VM silently falls back to cold
+ * translation for records whose code changed).
  */
 
 #ifndef CDVM_DBT_PERSIST_HH
@@ -36,7 +27,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "dbt/lookup.hh"
@@ -46,17 +36,12 @@
 namespace cdvm::dbt
 {
 
-/** Repository file magic ("CDVMREPO" as a little-endian u64). */
-constexpr u64 REPO_MAGIC = 0x4F5045524D564443ull;
-/** Current repository format version. */
-constexpr u32 REPO_VERSION = 1;
-
-/** Why a repository failed to load. */
+/** Why an image failed to load. */
 enum class LoadError
 {
     None,
     Io,         //!< file missing / unreadable
-    BadMagic,   //!< not a repository file
+    BadMagic,   //!< not an image file
     BadVersion, //!< format version mismatch
     Truncated,  //!< file ends mid-record
     Corrupt,    //!< checksum mismatch (bit flip) or malformed record
@@ -66,7 +51,7 @@ const char *loadErrorName(LoadError e);
 
 /**
  * errno captured at this thread's most recent failing I/O operation on
- * a repository/image load or save path (0 = no failure recorded).
+ * an image load or save path (0 = no failure recorded).
  * LoadError::Io says *that* an OS call failed; this says *why*.
  */
 int lastIoErrno();
@@ -95,7 +80,7 @@ struct SavedBranchStat
 };
 
 /**
- * One serialized translation: every value field of dbt::Translation
+ * One captured translation: every value field of dbt::Translation
  * except codeAddr (recomputed when the body is re-installed into a
  * fresh code cache) and id (assigned by the map at re-insert).
  */
@@ -109,8 +94,7 @@ struct SavedTranslation
     bool containsComplex = false;
     bool endsInCti = false;
     bool endsInCondBranch = false;
-    /** Producing tier (two spare bits of the entry flags byte; old
-     *  files read back as SwBbt). */
+    /** Producing tier. */
     TransProvenance provenance = TransProvenance::SwBbt;
     Addr condBranchTarget = 0;
     Addr condBranchPc = 0;
@@ -123,8 +107,8 @@ struct SavedTranslation
     /**
      * Per-micro-op precise-state tags (Uop::x86pc). The binary uop
      * encoding round-trips every semantic field but deliberately not
-     * this provenance tag, so the repository carries it as a side
-     * table and materialize() re-attaches it.
+     * this provenance tag, so the capture carries it as a side table
+     * and materialize() re-attaches it.
      */
     std::vector<Addr> uopPcs;
 
@@ -141,13 +125,13 @@ struct SavedTranslation
 
 /**
  * The 4K guest pages a translated region touches (conservative: each
- * covered instruction may straddle into the next page). Shared by the
- * v1 repository and the v2 image's content-address revalidation.
+ * covered instruction may straddle into the next page). Shared by
+ * capture and the image's content-address revalidation.
  */
 std::vector<Addr> coveredPages(Addr entry_pc,
                                std::span<const Addr> x86pcs);
 
-/** An in-memory repository: what the file format carries. */
+/** An in-memory capture: what ImageBuilder turns into an image. */
 struct Repository
 {
     /** Guest code pages referenced by any entry, with content hash. */
@@ -156,7 +140,7 @@ struct Repository
     std::vector<SavedBranchStat> branchProfile;
 };
 
-/** FNV-1a over a byte span (the format's page and file hash). */
+/** FNV-1a over a byte span (the image's page and checksum hash). */
 u64 fnv1a(std::span<const u8> bytes);
 
 /** fnv1a content hash of one 4K guest code page (staleness unit). */
@@ -181,20 +165,6 @@ using HotnessFn = std::function<u64(const Translation &)>;
 Repository capture(const TranslationMap &map, const x86::Memory &mem,
                    const HotnessFn &hotness = {});
 
-/** Serialize to the on-disk byte format (checksum appended). */
-std::vector<u8> serialize(const Repository &repo);
-
-/** Parse and verify a byte image; out is valid only on None. */
-LoadError deserialize(std::span<const u8> bytes, Repository &out);
-
-/**
- * Indices of entries whose guest code changed since capture: any
- * entry touching a page whose saved hash no longer matches current
- * guest memory (or whose page was never hashed).
- */
-std::unordered_set<std::size_t> staleEntries(const Repository &repo,
-                                             const x86::Memory &mem);
-
 /**
  * Atomically replace path with bytes: write a temp file in the same
  * directory, flush it to stable storage (fsync where available), then
@@ -205,12 +175,6 @@ std::unordered_set<std::size_t> staleEntries(const Repository &repo,
  * the detail.
  */
 bool atomicWriteFile(const std::string &path, std::span<const u8> bytes);
-
-/** Write the serialized repository to path (atomic replace). */
-bool saveFile(const std::string &path, const Repository &repo);
-
-/** Read and deserialize path. */
-LoadError loadFile(const std::string &path, Repository &out);
 
 } // namespace cdvm::dbt
 

@@ -35,7 +35,7 @@ enum class TransKind : u8
 
 /**
  * Which translator produced a translation. Persisted (two spare flag
- * bits in both the v1 repository and the v2 image formats), so a
+ * bits of each image record), so a
  * warm-started VM knows which tier each restored translation came
  * from and the template tier's work survives a save/boot round trip.
  */

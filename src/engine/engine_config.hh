@@ -129,14 +129,16 @@ struct EngineConfig
 
     // --- persistent warm start --------------------------------------
     /**
-     * Load a translation repository (dbt/persist format) before the
-     * first dispatched instruction: validated BBT+SBT translations are
-     * installed into the fresh code caches and the branch profile and
-     * hot counts are seeded. Stale or invalid entries silently fall
-     * back to the cold path. Empty: cold start.
+     * Map a translation image (dbt/image format) before the first
+     * dispatched instruction: validated BBT+SBT translations are
+     * installed zero-copy into the fresh code caches and the branch
+     * profile and hot counts are seeded. Stale records silently fall
+     * back to the cold path, and an unreadable or foreign file leaves
+     * the whole VM cold. SharedServices::imageEndpoint takes
+     * precedence when it yields an image. Empty: cold start.
      */
     std::string warmStartLoadPath;
-    /** Save the translation repository after run() (empty: never). */
+    /** Where Vmm::saveWarmStart() writes the image (empty: never). */
     std::string warmStartSavePath;
     /**
      * Size budget for a saved warm-start image in bytes (0 =
@@ -151,7 +153,7 @@ struct EngineConfig
      * instructions (0 disables sampling). Every period-th instruction
      * the dispatch loop attributes one sample to {guest page,
      * translation, stage}; the aggregate heatmap feeds the warm-start
-     * repository's hotness ranking and the --profile-out export.
+     * image's hotness ranking and the --profile-out export.
      */
     u64 profileSamplePeriod = 4096;
     /**
@@ -239,13 +241,13 @@ struct EngineStats
     u64 asyncSbtStaleDropped = 0; //!< results dropped as stale
     u64 asyncSbtQueueRejects = 0; //!< requests dropped (queue full)
     // Persistent warm start.
-    u64 warmLoaded = 0;         //!< records read from the repository
+    u64 warmLoaded = 0;         //!< records read from the image
     u64 warmInstalled = 0;      //!< translations installed pre-dispatch
     u64 warmInsnsInstalled = 0; //!< x86 instructions those cover
-    u64 warmInvalidated = 0;   //!< records rejected (stale/malformed)
+    u64 warmInvalidated = 0;   //!< records rejected (stale code)
     u64 warmProfileSeeded = 0; //!< branch-profile entries seeded
-    u64 warmBodyCopies = 0;    //!< per-record decode+copy installs (0
-                               //!< on the zero-copy image path)
+    u64 warmBodyCopies = 0;    //!< per-record body copies (0: image
+                               //!< installs are zero-copy)
     u64 warmRelocations = 0;   //!< chain links re-bound at warm start
     u64 warmMappedBytes = 0;   //!< shared-image bytes installed from
 

@@ -94,9 +94,11 @@ inline constexpr double INTERP_SLOWDOWN = 35.0;
 // --- Warm-start install cost (this repo's measured constants) -------
 
 /**
- * v1 repository install: per-record varint decode, x86pc side-table
+ * Decode-and-copy install: per-record varint decode, x86pc side-table
  * re-attachment, re-encode + copy into the code cache — ~3 cycles per
- * installed x86 instruction on the modeled machine.
+ * installed x86 instruction on the modeled machine. No warm-start path
+ * installs this way (every install binds image views, below); it
+ * remains the default price of fleet::WorkWeights::warmInstall.
  */
 inline constexpr double WARM_LOAD_DECODE_CPI = 3.0;
 
@@ -105,8 +107,10 @@ inline constexpr double WARM_LOAD_DECODE_CPI = 3.0;
  * image, so the per-instruction work left is the content-address
  * check, arena reservation and the relocation pass — ~1 cycle per
  * installed x86 instruction. Justified by the measured host-side
- * install ratio in bench_warmstart (image.load_ratio_vs_decode,
- * gated >= 2x in CI).
+ * ratio in bench_warmstart: installing the image's records costs
+ * well under half of software-BBT translating the same blocks
+ * (image.load_ratio_vs_translate, median gated >= 2x in CI), so
+ * warm fill sits far below BBT_CYCLES_PER_INSN.
  */
 inline constexpr double WARM_LOAD_MAPPED_CPI = 1.0;
 

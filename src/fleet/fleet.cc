@@ -213,29 +213,20 @@ FleetServer::admit(std::size_t idx, u64 due)
 
     engine::SharedServices svc;
     svc.sbtPool = pool.get();
-    // One shared zero-copy image for the whole fleet wins over the
-    // per-class parsed repositories. An endpoint binding wins over
-    // both: it is resolved per admission, so later contexts pick up
-    // newly published generations.
-    if (cfg.imageEndpoint)
-        svc.warmImage = cfg.imageEndpoint->acquire();
-    if (!svc.warmImage && cfg.warmImage)
-        svc.warmImage = cfg.warmImage;
-    if (!svc.warmImage && !cfg.warmRepos.empty())
-        svc.warmRepo =
-            cfg.warmRepos[t.workload % cfg.warmRepos.size()];
+    // The endpoint resolves to a generation per admission, so later
+    // contexts pick up newly published generations.
+    svc.imageEndpoint = cfg.imageEndpoint;
 
     t.vm = std::make_unique<vmm::Vmm>(*t.mem, tenantCfg, svc);
     t.vm->attachSink(&t.clock);
     // The warm fill ran inside the ctor, before the sink attach:
     // charge it out of band so warm boots pay their install bill on
-    // the same clock cold boots pay translation on. Mapped-image
-    // installs skip the decode+copy, so they bill the cheaper rate.
-    const double warm_cpi =
-        svc.warmImage ? weights.warmInstallMapped : weights.warmInstall;
+    // the same clock cold boots pay translation on.
     t.clock.charge(
-        warm_cpi *
+        weights.warmInstallMapped *
         static_cast<double>(t.vm->stats().warmInsnsInstalled));
+    if (auto img = t.vm->warmImage())
+        warmGen = std::move(img);
 
     t.state = Tenant::State::Runnable;
     t.res.admitClock = due;
@@ -479,20 +470,19 @@ FleetServer::exportStats(StatRegistry &reg) const
             "warm-start chain fixups across the fleet");
     reg.set("fleet.warm.body_copies_total",
             static_cast<double>(warm_copies),
-            "warm-start decode+copy installs (0 = zero-copy image)");
-    if (cfg.warmImage) {
+            "warm-start body copies (0 = zero-copy installs)");
+    if (warmGen) {
         reg.set("fleet.warm.image.bytes",
-                static_cast<double>(cfg.warmImage->sizeBytes()),
+                static_cast<double>(warmGen->sizeBytes()),
                 "bytes of the one image every context shares");
         reg.set("fleet.warm.image.records",
-                static_cast<double>(cfg.warmImage->recordCount()),
+                static_cast<double>(warmGen->recordCount()),
                 "records in the shared image");
         reg.set("fleet.warm.image.dedupe_hits",
-                static_cast<double>(
-                    cfg.warmImage->header().dedupeHits),
+                static_cast<double>(warmGen->header().dedupeHits),
                 "records merged by content at image build");
         reg.set("fleet.warm.image.evicted",
-                static_cast<double>(cfg.warmImage->header().evicted),
+                static_cast<double>(warmGen->header().evicted),
                 "cold-tail records evicted by the image budget");
     }
     reg.set("fleet.async.queue_rejects_total",

@@ -10,8 +10,8 @@
  *
  *  - each context is a full per-tenant Vmm (private guest memory,
  *    code caches, lookup structures, profilers, stats) constructed
- *    over process-shared services (one SBT worker pool, one parsed
- *    warm-start repository per workload);
+ *    over process-shared services (one SBT worker pool, one
+ *    warm-start image endpoint);
  *  - a scheduler multiplexes the contexts onto the emulation thread
  *    in retired-instruction time slices (fleet/scheduler.hh);
  *  - a deterministic virtual clock prices every context's staged
@@ -79,13 +79,16 @@ struct WorkWeights
     double sbtExec = 1.0;
     double bbtTranslate = engine::params::BBT_CYCLES_PER_INSN;
     double sbtOptimize = engine::params::SBT_CYCLES_PER_INSN;
-    /** Warm-fill install cost per instruction for the v1 repository
-     *  path (decode + copy; engine/params WARM_LOAD_DECODE_CPI). */
+    /** Price of a WarmInstall stage event on the sink clock, per
+     *  instruction, at the decode-and-copy rate (engine/params
+     *  WARM_LOAD_DECODE_CPI). Warm fills install image views and are
+     *  billed at warmInstallMapped instead. */
     double warmInstall = engine::params::WARM_LOAD_DECODE_CPI;
     /** Warm-fill install cost per instruction when installing
      *  zero-copy views from a shared mapped image (relocation only;
      *  engine/params WARM_LOAD_MAPPED_CPI, the timing model's
-     *  warmLoadCyclesPerInsn). */
+     *  warmLoadCyclesPerInsn). FleetServer bills every warm fill at
+     *  this rate. */
     double warmInstallMapped = engine::params::WARM_LOAD_MAPPED_CPI;
 
     static WorkWeights forConfig(const engine::EngineConfig &cfg);
@@ -163,27 +166,17 @@ struct FleetConfig
     /** Workload shape template; seed is overridden per class. */
     workload::ProgramParams workloadParams;
 
-    /** Pre-parsed warm repositories, indexed by workload class
-     *  (empty: every context cold-boots). */
-    std::vector<std::shared_ptr<const dbt::Repository>> warmRepos;
-
     /**
-     * ONE shared zero-copy translation image for the whole fleet:
-     * every admitted context installs views from this mapping (dedupe
-     * by guest-page content keeps cross-class records apart). Takes
-     * precedence over warmRepos. The boot-storm win: N contexts, one
-     * parse, one physical copy, relocation-only installs.
-     */
-    std::shared_ptr<const dbt::TransImage> warmImage;
-
-    /**
-     * Image-endpoint binding: where the fleet *gets* its shared image
-     * from — an in-process dbt::ImageStore or a serve::ImageClient
-     * bound to an image-host daemon in another process. Highest
-     * precedence; resolved to a generation handle at each admission,
-     * so contexts admitted after a publish pick up the new generation
-     * while running contexts keep theirs. A null acquire() falls
-     * through to warmImage/warmRepos (and then to cold boots).
+     * Where every admitted context gets its warm-start image: an
+     * in-process dbt::ImageStore (a pinned image is
+     * std::make_shared<dbt::ImageStore>(img)) or a serve::ImageClient
+     * bound to an image-host daemon in another process. One image
+     * serves the whole fleet (per-record content addresses keep
+     * cross-class records apart): N contexts, one verify, one
+     * physical copy, relocation-only installs. Resolved at each
+     * admission, so contexts admitted after a publish pick up the new
+     * generation while running contexts keep theirs. Null, or a null
+     * acquire(): every context cold-boots.
      */
     std::shared_ptr<dbt::ImageEndpoint> imageEndpoint;
 
@@ -290,6 +283,9 @@ class FleetServer
     bool ran = false;
     /** Retired contexts' stat exports, already ctx.<id>.*-prefixed. */
     StatRegistry ctxStats;
+    /** The image generation the latest warm admission installed from
+     *  (fleet.warm.image.* stats). */
+    std::shared_ptr<const dbt::TransImage> warmGen;
 };
 
 } // namespace cdvm::fleet

@@ -128,34 +128,26 @@ Vmm::Vmm(x86::Memory &memory, const VmmConfig &config,
     // Persistent warm start: install a previous run's validated
     // translations and profiles before the first dispatched
     // instruction. Failure of any kind just leaves the engine cold.
-    // Precedence: a shared zero-copy image handle (fleet mode, one
-    // mapping for every context) beats a shared pre-parsed repository
-    // beats the per-context file path; the parse/verify happened once
-    // per process, and the install still validates against *this*
-    // context's guest memory. A path load keeps the parsed image on
-    // the services handle: mapped translations are views into it.
-    //
-    // An image *endpoint* (in-process store or cross-process daemon
-    // client) resolves to a pinned generation handle here, before the
-    // precedence check: the handle — and every view installed from it
-    // — stays valid even after the endpoint publishes newer
-    // generations. A null acquire() (nothing published, daemon gone)
-    // simply leaves the lower-precedence sources in play.
-    if (!svc.warmImage && svc.imageEndpoint)
-        svc.warmImage = svc.imageEndpoint->acquire();
-    if (svc.warmImage || svc.warmRepo ||
-        !cfg.warmStartLoadPath.empty()) {
+    // Precedence: the image endpoint (in-process store or
+    // cross-process daemon client) beats the per-context file path.
+    // The endpoint resolves to a generation handle here; the handle --
+    // and every view installed from it -- stays valid after the
+    // endpoint publishes newer generations. A null acquire() (nothing
+    // published, daemon gone) falls through to the path. Either way
+    // the install validates against *this* context's guest memory,
+    // and warmGen keeps the image alive: mapped translations are
+    // views into it.
+    if (svc.imageEndpoint)
+        warmGen = svc.imageEndpoint->acquire();
+    if (warmGen || !cfg.warmStartLoadPath.empty()) {
         engine::WarmStartReport rep;
-        if (svc.warmImage) {
-            rep = engine::warmStartInstall(*svc.warmImage, mem, ccm,
-                                           branchProf, &events);
-        } else if (svc.warmRepo) {
-            rep = engine::warmStartInstall(*svc.warmRepo, mem, ccm,
+        if (warmGen) {
+            rep = engine::warmStartInstall(*warmGen, mem, ccm,
                                            branchProf, &events);
         } else {
             rep = engine::warmStartLoad(cfg.warmStartLoadPath, mem,
                                         ccm, branchProf, &events);
-            svc.warmImage = rep.image;
+            warmGen = rep.image;
         }
         st.warmLoaded = rep.loaded;
         st.warmInstalled = rep.installed;
@@ -178,9 +170,9 @@ Vmm::captureWarmStart() const
 {
     // Hotness-ordered capture: the profiler's samples rank first (the
     // measured heat of this run), per-translation entry counts break
-    // ties and carry the ranking when sampling is off. The repository
-    // then installs the most valuable translations first on the next
-    // warm start.
+    // ties and carry the ranking when sampling is off. An image built
+    // from the capture then installs the most valuable translations
+    // first on the next warm start.
     auto hotness = [this](const dbt::Translation &t) {
         const u64 cap = (u64{1} << 20) - 1;
         const u64 execs = t.execCount < cap ? t.execCount : cap;
@@ -197,7 +189,7 @@ Vmm::saveWarmStart(const std::string &path) const
         path.empty() ? cfg.warmStartSavePath : path;
     if (dst.empty())
         return false;
-    // Written as a v2 zero-copy image (the next run maps it and
+    // Written as a zero-copy image (the next run maps it and
     // installs views). The budget evicts the cold tail of the hotness
     // ranking at build time.
     dbt::ImageBuilder b(dbt::ImageBuilder::Options{
@@ -532,38 +524,37 @@ Vmm::exportCoreStats(StatRegistry &reg) const
         set("vmm.async.queue_rejects", st.asyncSbtQueueRejects,
             "requests dropped by queue back-pressure");
     }
-    if (svc.warmImage || svc.warmRepo ||
-        !cfg.warmStartLoadPath.empty()) {
+    if (warmGen || !cfg.warmStartLoadPath.empty()) {
         set("vmm.warm.loaded", st.warmLoaded,
-            "repository records read at warm start");
+            "image records read at warm start");
         set("vmm.warm.installed", st.warmInstalled,
             "translations installed before the first dispatch");
         set("vmm.warm.insns_installed", st.warmInsnsInstalled,
             "x86 instructions covered by the warm fill");
         set("vmm.warm.invalidated", st.warmInvalidated,
-            "repository records rejected as stale or malformed");
+            "image records rejected as stale");
         set("vmm.warm.profile_seeded", st.warmProfileSeeded,
-            "branch-profile entries seeded from the repository");
+            "branch-profile entries seeded from the image");
         set("vmm.warm.body_copies", st.warmBodyCopies,
-            "per-record decode+copy installs (0 = zero-copy image)");
+            "per-record body copies (0 = zero-copy install)");
         set("vmm.warm.relocations", st.warmRelocations,
             "chain links re-bound by the warm relocation pass");
         set("vmm.warm.mapped_bytes", st.warmMappedBytes,
             "shared-image bytes this context installed from");
     }
-    if (svc.warmImage) {
+    if (warmGen) {
         set("vmm.warm.image.generation",
-            svc.warmImage->header().generation,
+            warmGen->header().generation,
             "builder generation of the shared warm image");
         set("vmm.warm.image.dedupe_hits",
-            svc.warmImage->header().dedupeHits,
+            warmGen->header().dedupeHits,
             "records merged by content when the image was built");
-        set("vmm.warm.image.evicted", svc.warmImage->header().evicted,
+        set("vmm.warm.image.evicted", warmGen->header().evicted,
             "cold-tail records evicted by the image size budget");
         // Backing-store residency: how much of the image is faulted
         // in, and how much of that is physically shared with sibling
         // processes (file/fd mappings) rather than a private copy.
-        const dbt::MapResidency res = svc.warmImage->residency();
+        const dbt::MapResidency res = warmGen->residency();
         set("dbt.image.pages.total", res.pagesTotal,
             "pages spanned by the warm image backing store");
         set("dbt.image.pages.resident", res.pagesResident,

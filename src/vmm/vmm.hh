@@ -75,8 +75,9 @@ class Vmm
      *
      *  - services.sbtPool: background SBT requests go to this shared
      *    worker pool instead of a private one (multi-tenant hosting);
-     *  - services.warmRepo: warm-start from this pre-parsed shared
-     *    repository instead of re-reading warmStartLoadPath.
+     *  - services.imageEndpoint: warm-start from the image generation
+     *    this endpoint serves (in-process store or cross-process
+     *    daemon) instead of mapping warmStartLoadPath.
      *
      * Default-constructed services preserve the classic one-process,
      * one-context behavior exactly.
@@ -103,19 +104,28 @@ class Vmm
     }
 
     /**
-     * Capture the live translations, hot counts and branch profile as
-     * an in-memory warm-start repository, hottest-first. A fleet
-     * server primes one context, captures it, and hands the result to
-     * every later context through SharedServices::warmRepo.
+     * Capture the live translations, hot counts and branch profile in
+     * the in-memory capture form, hottest-first. A host primes one
+     * context per workload, merges the captures with ImageBuilder, and
+     * serves the image to later contexts through
+     * SharedServices::imageEndpoint.
      */
     dbt::Repository captureWarmStart() const;
 
     /**
      * Save the live translations and branch profile as a warm-start
-     * repository (dbt/persist format). Uses
-     * config().warmStartSavePath when path is empty. @return success.
+     * image (dbt/image format). Uses config().warmStartSavePath when
+     * path is empty. @return success.
      */
     bool saveWarmStart(const std::string &path = "") const;
+
+    /** The image generation this context warm-started from (null when
+     *  it booted cold). */
+    std::shared_ptr<const dbt::TransImage>
+    warmImage() const
+    {
+        return warmGen;
+    }
 
     /** The hotspot detector's BBB (an idle unit when not used). */
     const hwassist::BranchBehaviorBuffer &bbb() const;
@@ -207,8 +217,12 @@ class Vmm
 
     x86::Memory &mem;
     VmmConfig cfg;
-    /** Process-shared services (keeps the warm repo handle alive). */
+    /** Process-shared services (SBT pool, image endpoint). */
     engine::SharedServices svc;
+    /** The warm-start generation acquired at construction. Declared
+     *  before the code caches so it outlives the translations that
+     *  are views into it. */
+    std::shared_ptr<const dbt::TransImage> warmGen;
     VmmStats st;
 
     engine::EventStream events;

@@ -42,16 +42,18 @@ runInterp(const workload::Program &prog, x86::Memory &mem,
     return r;
 }
 
-/** Run a program to completion under a VMM configuration. */
+/** Run a program to completion under a VMM configuration (and, for
+ *  warm boots, the services carrying the image endpoint). */
 inline RunResult
 runVmm(const workload::Program &prog, x86::Memory &mem,
        const vmm::VmmConfig &cfg, vmm::VmmStats *stats_out = nullptr,
-       InstCount max_insns = 10'000'000)
+       InstCount max_insns = 10'000'000,
+       const engine::SharedServices &services = {})
 {
     prog.loadInto(mem);
     RunResult r;
     r.cpu = prog.initialState();
-    vmm::Vmm monitor(mem, cfg);
+    vmm::Vmm monitor(mem, cfg, services);
     r.exit = monitor.run(r.cpu, max_insns);
     r.retired = r.cpu.icount;
     if (stats_out)

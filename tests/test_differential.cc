@@ -6,7 +6,9 @@
  * co-designed VM -- pure interpretation, BBT-only, staged BBT+SBT,
  * interpreter+SBT, and x86-mode (VM.fe) with hardware hotspot
  * detection -- must produce exactly the same architected x86 state and
- * the same data memory image as the reference interpreter.
+ * the same data memory image as the reference interpreter. So must
+ * warm boots that install a primed run's image through an image
+ * endpoint before the first instruction.
  */
 
 #include <gtest/gtest.h>
@@ -148,6 +150,39 @@ TEST_P(DifferentialTest, AllStrategiesMatchInterpreter)
         RunResult got = runVmm(prog, mem, c.cfg, &stats);
         EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, got, mem))
             << c.name;
+    }
+
+    // Warm boots: prime vm.soft, build its image, and boot vm.soft
+    // and vm.be from it through an in-process image endpoint.
+    dbt::ImageBuilder builder;
+    {
+        x86::Memory mem;
+        prog.loadInto(mem);
+        x86::CpuState cpu = prog.initialState();
+        vmm::Vmm vm(mem, cfgSoft());
+        ASSERT_EQ(static_cast<int>(vm.run(cpu, 10'000'000)),
+                  static_cast<int>(x86::Exit::Halted));
+        builder.add(vm.captureWarmStart());
+    }
+    auto image = std::make_shared<dbt::TransImage>();
+    ASSERT_EQ(dbt::TransImage::adopt(builder.build(), *image),
+              dbt::LoadError::None);
+    engine::SharedServices svc;
+    svc.imageEndpoint = std::make_shared<dbt::ImageStore>(image);
+
+    const Case warm_cases[] = {
+        {"warm vm.soft (image endpoint)", cfgSoft()},
+        {"warm vm.be (image endpoint)", cfgBackend()},
+    };
+    for (const Case &c : warm_cases) {
+        x86::Memory mem;
+        vmm::VmmStats stats;
+        RunResult got =
+            runVmm(prog, mem, c.cfg, &stats, 10'000'000, svc);
+        EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, got, mem))
+            << c.name;
+        EXPECT_GT(stats.warmInstalled, 0u) << c.name;
+        EXPECT_EQ(stats.warmInvalidated, 0u) << c.name;
     }
 }
 

@@ -472,10 +472,12 @@ TEST(Fleet, WarmBeatsColdP99)
     EXPECT_EQ(cr.completed, cfg.contexts);
     EXPECT_EQ(cr.reachedMilestone, cfg.contexts);
 
-    // Prime one repository per workload class, past the target so
-    // the hot set is optimized.
+    // Prime every workload class past the target so the hot set is
+    // optimized, and merge the captures into one image the whole fleet
+    // boots from.
     const engine::EngineConfig tcfg =
         fleet::tenantEngineConfig(cfg.engineCfg);
+    dbt::ImageBuilder builder;
     for (unsigned w = 0; w < cfg.workloads; ++w) {
         workload::ProgramParams p = cfg.workloadParams;
         p.seed = fleet::deriveSeed(cfg.fleetSeed, w);
@@ -484,10 +486,12 @@ TEST(Fleet, WarmBeatsColdP99)
         prog.loadInto(mem);
         vmm::Vmm vm(mem, tcfg);
         runToTarget(vm, prog, 2 * cfg.targetInsns);
-        cfg.warmRepos.push_back(
-            std::make_shared<const dbt::Repository>(
-                vm.captureWarmStart()));
+        builder.add(vm.captureWarmStart());
     }
+    auto image = std::make_shared<dbt::TransImage>();
+    ASSERT_EQ(dbt::TransImage::adopt(builder.build(), *image),
+              dbt::LoadError::None);
+    cfg.imageEndpoint = std::make_shared<dbt::ImageStore>(image);
 
     fleet::FleetServer warm(cfg);
     const fleet::FleetResult wr = warm.run();

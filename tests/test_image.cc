@@ -1,13 +1,14 @@
 /**
  * @file
- * The zero-copy translation image (dbt/image) and its warm-start,
- * sharing and migration paths.
+ * The zero-copy translation image (dbt/image), the one on-disk
+ * warm-start format, and its warm-start and sharing paths.
  *
- * Format robustness: a built image round-trips to an equal repository;
- * truncation at any point (including every section boundary) and
- * arbitrary bit flips are rejected with a typed error -- never a
- * crash, never a parse -- and a corrupt file leaves the VM cleanly
- * cold.
+ * Format robustness: a built image round-trips to an equal capture;
+ * truncation at any point (including every section boundary),
+ * arbitrary bit flips, trailing bytes and foreign formats (the
+ * retired v1 repository fixture among them) are rejected with a typed
+ * error -- never a crash, never a parse -- and a rejected file leaves
+ * the VM cleanly cold.
  *
  * Zero-copy: a mapped-image install performs zero per-record body
  * copies (the acceptance stat), yet retires bit-identical state.
@@ -20,7 +21,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -30,7 +30,6 @@
 #include <gtest/gtest.h>
 
 #include "dbt/image.hh"
-#include "dbt/persist.hh"
 #include "engine/cache_mgr.hh"
 #include "engine/warm_start.hh"
 #include "fleet/fleet.hh"
@@ -291,8 +290,8 @@ TEST(Image, TruncationSweepTyped)
         EXPECT_EQ(err, dbt::LoadError::Truncated) << "len=" << len;
     }
 
-    // Trailing garbage after totalBytes is rejected too (adopt takes
-    // exactly one image; only files may carry delta segments).
+    // Trailing garbage after totalBytes is rejected too (an image is
+    // exactly one blob, whatever its backing).
     std::vector<u8> padded = blob;
     padded.resize(padded.size() + 64, 0xAB);
     dbt::TransImage out;
@@ -457,24 +456,21 @@ TEST(Image, ZeroCopyInstallStats)
     const dbt::Repository repo = capturedRepo(prog, pmem);
     dbt::TransImage img = adopted(builtImage(repo));
 
-    // Legacy v1 path: one decode + copy per install.
-    InstallTarget legacy(prog);
-    const engine::WarmStartReport lr = engine::warmStartInstall(
-        repo, legacy.mem, legacy.ccm, legacy.prof);
-    ASSERT_GT(lr.installed, 0u);
-    EXPECT_EQ(lr.bodyCopies, lr.installed);
-    EXPECT_EQ(lr.mappedBytes, 0u);
-
-    // Mapped path: zero per-record body copies, same acceptance.
+    // Zero per-record body copies, and the stats describe exactly
+    // what the image holds.
     InstallTarget mapped(prog);
     const engine::WarmStartReport mr = engine::warmStartInstall(
         img, mapped.mem, mapped.ccm, mapped.prof);
+    u64 image_insns = 0;
+    for (std::size_t i = 0; i < img.recordCount(); ++i)
+        image_insns += img.record(i).hdr->numX86Insns;
+    ASSERT_GT(mr.installed, 0u);
     EXPECT_EQ(mr.bodyCopies, 0u);
-    EXPECT_EQ(mr.installed, lr.installed);
-    EXPECT_EQ(mr.installedInsns, lr.installedInsns);
-    EXPECT_EQ(mr.invalidated, lr.invalidated);
+    EXPECT_EQ(mr.installed, img.recordCount());
+    EXPECT_EQ(mr.installedInsns, image_insns);
+    EXPECT_EQ(mr.invalidated, 0u);
     EXPECT_EQ(mr.mappedBytes, img.sizeBytes());
-    EXPECT_EQ(mr.relocations, lr.relocations);
+    EXPECT_EQ(mr.relocations, img.relocs().size());
 
     // Installed translations really are views into the image.
     for (std::size_t i = 0; i < img.recordCount(); ++i) {
@@ -506,12 +502,11 @@ TEST(Image, WarmRunBitIdenticalToCold)
         ASSERT_TRUE(vm.saveWarmStart(path));
     }
 
-    // The file really is a v2 zero-copy image, not a v1 repository.
+    // The file really is a zero-copy image.
     {
         dbt::TransImage img;
         ASSERT_EQ(dbt::TransImage::load(path, img),
                   dbt::LoadError::None);
-        EXPECT_FALSE(img.migratedFromV1());
         EXPECT_GT(img.recordCount(), 0u);
     }
 
@@ -601,156 +596,115 @@ TEST(Image, TemplateProvenanceRoundTrip)
 }
 
 // ---------------------------------------------------------------------
-// Migration: v1 files convert transparently, future versions reject
+// Rejection of removed and future formats
 // ---------------------------------------------------------------------
 
-TEST(Image, MigratesV1FileTransparently)
+TEST(Image, GoldenV1FixtureRejected)
 {
-    x86::Memory mem;
-    const dbt::Repository repo = capturedRepo(testProgram(), mem);
-    const std::string path = tempPath("image_v1.cdvm");
-    ASSERT_TRUE(dbt::saveFile(path, repo));
-
-    dbt::TransImage img;
-    ASSERT_EQ(dbt::TransImage::load(path, img), dbt::LoadError::None);
-    EXPECT_TRUE(img.migratedFromV1());
-    EXPECT_FALSE(img.isMapped());
-    EXPECT_EQ(img.recordCount(), repo.entries.size());
-
-    // Converted records still install against live memory.
-    workload::Program prog = testProgram();
-    InstallTarget t(prog);
-    const engine::WarmStartReport rep =
-        engine::warmStartInstall(img, t.mem, t.ccm, t.prof);
-    EXPECT_EQ(rep.installed, img.recordCount());
-    EXPECT_EQ(rep.bodyCopies, 0u);
-    std::remove(path.c_str());
-}
-
-TEST(Image, GoldenV1FixtureMigrates)
-{
-    // A checked-in PR-5-era repository file; regenerate (after
-    // verifying the format change is intended) with:
-    //   CDVM_UPDATE_GOLDEN=1 ./test_image
+    // A checked-in repository file in the retired v1 ("CDVMREPO")
+    // format, captured from testProgram(42). The image loader must
+    // reject it with a typed error, and a VM pointed at it must boot
+    // cold and still retire exactly what the interpreter does.
     const std::string path =
         std::string(CDVM_TEST_SRC_DIR) + "/golden/repo_v1.cdvm";
-
-    if (std::getenv("CDVM_UPDATE_GOLDEN")) {
-        x86::Memory mem;
-        const dbt::Repository repo =
-            capturedRepo(testProgram(42), mem);
-        ASSERT_TRUE(dbt::saveFile(path, repo));
-        GTEST_SKIP() << "golden v1 fixture regenerated: " << path;
-    }
-
     std::ifstream probe(path, std::ios::binary);
-    ASSERT_TRUE(probe.good())
-        << "missing golden file " << path
-        << " (regenerate with CDVM_UPDATE_GOLDEN=1)";
+    ASSERT_TRUE(probe.good()) << "missing golden file " << path;
 
     dbt::TransImage img;
-    ASSERT_EQ(dbt::TransImage::load(path, img), dbt::LoadError::None);
-    EXPECT_TRUE(img.migratedFromV1());
-    EXPECT_GT(img.recordCount(), 0u);
+    EXPECT_EQ(dbt::TransImage::load(path, img),
+              dbt::LoadError::BadMagic);
 
-    // The migrated image re-serializes into a valid v2 blob.
-    dbt::ImageBuilder b;
-    b.add(img);
-    dbt::TransImage v2 = adopted(b.build());
-    EXPECT_EQ(v2.recordCount(), img.recordCount());
+    const workload::Program prog = testProgram(42);
+    vmm::VmmConfig cfg = cfgSoft();
+    cfg.warmStartLoadPath = path;
+    x86::Memory mem, ref_mem;
+    vmm::VmmStats st;
+    const RunResult got = runVmm(prog, mem, cfg, &st);
+    const RunResult ref = runInterp(prog, ref_mem);
+    EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, got, mem));
+    EXPECT_EQ(got.retired, ref.retired);
+    EXPECT_EQ(st.warmLoaded, 0u);
+    EXPECT_EQ(st.warmInstalled, 0u);
+    EXPECT_EQ(st.warmMappedBytes, 0u);
+    EXPECT_GT(st.bbtTranslations, 0u);
+}
+
+TEST(Image, TrailingBytesRejectedAsCorrupt)
+{
+    // A file is exactly one image: bytes appended after totalBytes
+    // (the shape of a torn or foreign append) are Corrupt, over the
+    // file backing as well as the adopted one.
+    x86::Memory mem;
+    std::vector<u8> blob = builtImage(capturedRepo(testProgram(), mem));
+    blob.resize(blob.size() + 40, 0x5A);
+    const std::string path = tempPath("image_trailing.cdvmimg");
+    ASSERT_TRUE(dbt::TransImage::save(path, blob));
+
+    dbt::TransImage img;
+    EXPECT_EQ(dbt::TransImage::load(path, img),
+              dbt::LoadError::Corrupt);
+    EXPECT_EQ(dbt::TransImage::adopt(blob, img),
+              dbt::LoadError::Corrupt);
+    std::remove(path.c_str());
 }
 
 TEST(Image, FutureVersionsRejected)
 {
     x86::Memory mem;
-    const dbt::Repository repo = capturedRepo(testProgram(), mem);
-
-    // A v2 image from the future.
-    std::vector<u8> blob = builtImage(repo);
+    std::vector<u8> blob = builtImage(capturedRepo(testProgram(), mem));
     blob[8] = 0x7F; // ImageHeader::version low byte
     dbt::TransImage out;
     EXPECT_EQ(dbt::TransImage::adopt(blob, out),
               dbt::LoadError::BadVersion);
-
-    // A v1 repository file from the future (version at offset 8 too).
-    const std::string path = tempPath("image_future_v1.cdvm");
-    ASSERT_TRUE(dbt::saveFile(path, repo));
-    {
-        std::fstream f(path, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        f.seekp(8);
-        const char v = 0x7F;
-        f.write(&v, 1);
-    }
-    dbt::TransImage img;
-    EXPECT_EQ(dbt::TransImage::load(path, img),
-              dbt::LoadError::BadVersion);
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
-// Durability: delta segments, compaction, eviction
+// Growth and eviction
 // ---------------------------------------------------------------------
 
-TEST(Image, DeltaAppendAndCompaction)
+TEST(Image, GrowThroughStoreAppendAndAtomicSave)
 {
+    // An image grows by merging a new capture into a new generation
+    // (ImageStore::append) and replacing the file atomically; a reader
+    // still mapping the old file is never disturbed.
     workload::Program progA = testProgram(7);
     x86::Memory mA, mB;
     const dbt::Repository rA = capturedRepo(progA, mA);
     const dbt::Repository rB = capturedRepo(testProgram(31), mB);
 
-    const std::string path = tempPath("image_delta.cdvmimg");
+    const std::string path = tempPath("image_grow.cdvmimg");
     ASSERT_TRUE(dbt::TransImage::save(path, builtImage(rA)));
-    ASSERT_TRUE(dbt::TransImage::appendDelta(path, rB));
+    auto base = std::make_shared<dbt::TransImage>();
+    ASSERT_EQ(dbt::TransImage::load(path, *base), dbt::LoadError::None);
+    const std::size_t base_records = base->recordCount();
 
-    // Loading merges base + delta and bumps the generation.
-    dbt::TransImage merged;
-    ASSERT_EQ(dbt::TransImage::load(path, merged),
-              dbt::LoadError::None);
-    EXPECT_EQ(merged.deltaSegments(), 1u);
-    EXPECT_FALSE(merged.isMapped()); // compacted in memory
-    EXPECT_EQ(merged.recordCount(),
+    dbt::ImageStore store(base);
+    ASSERT_EQ(store.append(rB), dbt::LoadError::None);
+    const std::shared_ptr<const dbt::TransImage> grown = store.acquire();
+    EXPECT_EQ(grown->recordCount(),
               rA.entries.size() + rB.entries.size());
-    EXPECT_EQ(merged.header().generation, 2u);
+    EXPECT_EQ(grown->header().generation, 2u);
 
-    // Compaction at save: rewrite, then a clean zero-copy mapping.
     dbt::ImageBuilder b(dbt::ImageBuilder::Options{
-        0, merged.header().generation});
-    b.add(merged);
+        0, grown->header().generation});
+    b.add(*grown);
     ASSERT_TRUE(dbt::TransImage::save(path, b.build()));
-    dbt::TransImage compact;
-    ASSERT_EQ(dbt::TransImage::load(path, compact),
+    dbt::TransImage reloaded;
+    ASSERT_EQ(dbt::TransImage::load(path, reloaded),
               dbt::LoadError::None);
-    EXPECT_EQ(compact.deltaSegments(), 0u);
-    EXPECT_EQ(compact.recordCount(), merged.recordCount());
+    EXPECT_EQ(reloaded.recordCount(), grown->recordCount());
+    EXPECT_EQ(reloaded.header().generation, 2u);
 #ifdef __unix__
-    EXPECT_TRUE(compact.isMapped());
+    EXPECT_TRUE(reloaded.isMapped());
 #endif
 
-    // A truncated delta tail is typed, not parsed.
-    ASSERT_TRUE(dbt::TransImage::appendDelta(path, rB));
-    {
-        std::ifstream in(path, std::ios::binary | std::ios::ate);
-        const std::streamoff full = in.tellg();
-        std::vector<char> bytes(static_cast<std::size_t>(full) - 9);
-        in.seekg(0);
-        in.read(bytes.data(), static_cast<std::streamoff>(bytes.size()));
-        std::ofstream outf(path, std::ios::binary | std::ios::trunc);
-        outf.write(bytes.data(),
-                   static_cast<std::streamoff>(bytes.size()));
-    }
-    dbt::TransImage cut;
-    EXPECT_EQ(dbt::TransImage::load(path, cut),
-              dbt::LoadError::Truncated);
-
-    // appendDelta refuses non-image targets.
-    const std::string v1path = tempPath("image_delta_v1.cdvm");
-    ASSERT_TRUE(dbt::saveFile(v1path, rA));
-    EXPECT_FALSE(dbt::TransImage::appendDelta(v1path, rB));
-    EXPECT_FALSE(dbt::TransImage::appendDelta(
-        tempPath("image_delta_missing.cdvmimg"), rB));
+    // The first generation's mapping outlived the rename.
+    EXPECT_EQ(base->recordCount(), base_records);
+    InstallTarget t(progA);
+    const engine::WarmStartReport rep =
+        engine::warmStartInstall(*base, t.mem, t.ccm, t.prof);
+    EXPECT_EQ(rep.installed, base_records);
     std::remove(path.c_str());
-    std::remove(v1path.c_str());
 }
 
 TEST(Image, EvictionByBudgetKeepsHotPrefix)
@@ -957,9 +911,8 @@ TEST(ImageFleet, SharedImageBootStormRetireIdentical)
         b.add(vm.captureWarmStart());
     }
     const std::vector<u8> blob = b.build();
-    auto shared =
-        std::make_shared<const dbt::TransImage>(adopted(blob));
-    cfg.warmImage = shared;
+    cfg.imageEndpoint = std::make_shared<dbt::ImageStore>(
+        std::make_shared<const dbt::TransImage>(adopted(blob)));
 
     fleet::FleetServer warm(cfg);
     const fleet::FleetResult wr = warm.run();
@@ -981,8 +934,8 @@ TEST(ImageFleet, SharedImageBootStormRetireIdentical)
     // emulate exactly what every fleet context of that class did.
     for (unsigned w = 0; w < cfg.workloads; ++w) {
         engine::SharedServices svc;
-        svc.warmImage =
-            std::make_shared<const dbt::TransImage>(adopted(blob));
+        svc.imageEndpoint = std::make_shared<dbt::ImageStore>(
+            std::make_shared<const dbt::TransImage>(adopted(blob)));
         x86::Memory mem;
         progs[w].loadInto(mem);
         vmm::Vmm vm(mem, tcfg, svc);

@@ -1,19 +1,17 @@
 /**
  * @file
- * The persistent translation repository (dbt/persist) and the engine's
- * warm-start path.
- *
- * Format robustness: a round-tripped repository is equal field by
- * field; bad magic, version mismatches, truncation at any point, and
- * arbitrary bit flips are all rejected (never crash, never parse).
- *
- * Staleness: entries whose guest code changed since capture are
- * invalidated at load time and the VM silently falls back to cold
- * translation for them.
+ * The engine's warm-start path end to end, through the one on-disk
+ * format: a Vmm saves its translations as an image, and a later Vmm
+ * maps it from EngineConfig::warmStartLoadPath.
  *
  * The acceptance property: a warm-started VM retires bit-identical
  * architected state (registers, flags, memory image) to a cold run of
- * the same program.
+ * the same program. Stale records (guest code changed since capture)
+ * are invalidated at load time and the VM silently falls back to cold
+ * translation for them; a missing file boots cold.
+ *
+ * Format robustness (truncation and bit-flip sweeps, typed
+ * rejection of foreign and removed formats) lives in test_image.
  */
 
 #include <cstdio>
@@ -21,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dbt/persist.hh"
 #include "helpers.hh"
 
 namespace cdvm
@@ -56,174 +53,6 @@ tempPath(const char *name)
     return ::testing::TempDir() + name;
 }
 
-/** Run a program cold and capture its translation map. */
-dbt::Repository
-capturedRepo(const workload::Program &prog, x86::Memory &mem)
-{
-    prog.loadInto(mem);
-    x86::CpuState cpu = prog.initialState();
-    vmm::Vmm vm(mem, cfgSoft());
-    vm.run(cpu, 10'000'000);
-    return dbt::capture(vm.translations(), mem);
-}
-
-// ---------------------------------------------------------------------
-// Format round trip and rejection
-// ---------------------------------------------------------------------
-
-TEST(Persist, RoundTripEquality)
-{
-    x86::Memory mem;
-    dbt::Repository repo = capturedRepo(testProgram(), mem);
-    ASSERT_FALSE(repo.entries.empty());
-    ASSERT_FALSE(repo.pageHashes.empty());
-
-    const std::vector<u8> bytes = dbt::serialize(repo);
-    dbt::Repository back;
-    ASSERT_EQ(dbt::deserialize(bytes, back), dbt::LoadError::None);
-
-    ASSERT_EQ(back.pageHashes.size(), repo.pageHashes.size());
-    for (std::size_t i = 0; i < repo.pageHashes.size(); ++i)
-        EXPECT_EQ(back.pageHashes[i], repo.pageHashes[i]) << i;
-
-    ASSERT_EQ(back.entries.size(), repo.entries.size());
-    for (std::size_t i = 0; i < repo.entries.size(); ++i) {
-        const dbt::SavedTranslation &a = repo.entries[i];
-        const dbt::SavedTranslation &b = back.entries[i];
-        EXPECT_EQ(b.kind, a.kind) << i;
-        EXPECT_EQ(b.entryPc, a.entryPc) << i;
-        EXPECT_EQ(b.numX86Insns, a.numX86Insns) << i;
-        EXPECT_EQ(b.x86Bytes, a.x86Bytes) << i;
-        EXPECT_EQ(b.fallthroughPc, a.fallthroughPc) << i;
-        EXPECT_EQ(b.containsComplex, a.containsComplex) << i;
-        EXPECT_EQ(b.endsInCti, a.endsInCti) << i;
-        EXPECT_EQ(b.endsInCondBranch, a.endsInCondBranch) << i;
-        EXPECT_EQ(b.condBranchTarget, a.condBranchTarget) << i;
-        EXPECT_EQ(b.condBranchPc, a.condBranchPc) << i;
-        EXPECT_EQ(b.execCount, a.execCount) << i;
-        EXPECT_EQ(b.takenCount, a.takenCount) << i;
-        EXPECT_EQ(b.notTakenCount, a.notTakenCount) << i;
-        for (unsigned c = 0; c < 2; ++c) {
-            EXPECT_EQ(b.chains[c].targetPc, a.chains[c].targetPc) << i;
-            EXPECT_EQ(b.chains[c].record, a.chains[c].record) << i;
-        }
-        EXPECT_EQ(b.x86pcs, a.x86pcs) << i;
-        EXPECT_EQ(b.uopPcs, a.uopPcs) << i;
-        EXPECT_EQ(b.body, a.body) << i;
-    }
-
-    ASSERT_EQ(back.branchProfile.size(), repo.branchProfile.size());
-
-    // Every round-tripped entry materializes back into executable
-    // micro-ops with the precise-state tags re-attached.
-    for (const dbt::SavedTranslation &e : back.entries) {
-        std::unique_ptr<dbt::Translation> t = e.materialize();
-        ASSERT_NE(t, nullptr);
-        ASSERT_EQ(t->uops.size(), e.uopPcs.size());
-        for (std::size_t i = 0; i < t->uops.size(); ++i)
-            EXPECT_EQ(t->uops[i].x86pc, e.uopPcs[i]);
-    }
-}
-
-TEST(Persist, BadMagicRejected)
-{
-    x86::Memory mem;
-    std::vector<u8> bytes =
-        dbt::serialize(capturedRepo(testProgram(), mem));
-    bytes[0] ^= 0xFF;
-    dbt::Repository out;
-    EXPECT_EQ(dbt::deserialize(bytes, out), dbt::LoadError::BadMagic);
-}
-
-TEST(Persist, VersionMismatchRejected)
-{
-    x86::Memory mem;
-    std::vector<u8> bytes =
-        dbt::serialize(capturedRepo(testProgram(), mem));
-    bytes[8] = static_cast<u8>(dbt::REPO_VERSION + 1); // version field
-    dbt::Repository out;
-    EXPECT_EQ(dbt::deserialize(bytes, out),
-              dbt::LoadError::BadVersion);
-}
-
-TEST(Persist, TruncationRejectedAtEveryLength)
-{
-    x86::Memory mem;
-    const std::vector<u8> bytes =
-        dbt::serialize(capturedRepo(testProgram(), mem));
-    ASSERT_GT(bytes.size(), 64u);
-
-    // Every proper prefix must be rejected -- never parsed, never a
-    // crash. Step keeps the sweep fast on large repositories.
-    const std::size_t step = std::max<std::size_t>(bytes.size() / 97, 1);
-    for (std::size_t len = 0; len < bytes.size(); len += step) {
-        dbt::Repository out;
-        EXPECT_NE(dbt::deserialize({bytes.data(), len}, out),
-                  dbt::LoadError::None)
-            << "prefix of " << len << " bytes parsed";
-    }
-}
-
-TEST(Persist, BitFlipRejectedEverywhere)
-{
-    x86::Memory mem;
-    const std::vector<u8> orig =
-        dbt::serialize(capturedRepo(testProgram(), mem));
-
-    const std::size_t step = std::max<std::size_t>(orig.size() / 61, 1);
-    for (std::size_t pos = 0; pos < orig.size(); pos += step) {
-        std::vector<u8> bytes = orig;
-        bytes[pos] ^= 0x40;
-        dbt::Repository out;
-        EXPECT_NE(dbt::deserialize(bytes, out), dbt::LoadError::None)
-            << "bit flip at byte " << pos << " parsed";
-    }
-
-    // A flip that leaves the structure parseable (a page-hash byte)
-    // must be caught by the whole-file checksum specifically.
-    std::vector<u8> bytes = orig;
-    bytes[16 + 4 + 8] ^= 0x01; // first page hash, low byte
-    dbt::Repository out;
-    EXPECT_EQ(dbt::deserialize(bytes, out), dbt::LoadError::Corrupt);
-}
-
-TEST(Persist, MissingFileIsIoError)
-{
-    dbt::Repository out;
-    EXPECT_EQ(dbt::loadFile(tempPath("no_such_repo.cdvm"), out),
-              dbt::LoadError::Io);
-}
-
-// ---------------------------------------------------------------------
-// Staleness
-// ---------------------------------------------------------------------
-
-TEST(Persist, StaleGuestCodeInvalidatesTouchedEntries)
-{
-    workload::Program prog = testProgram();
-    x86::Memory mem;
-    dbt::Repository repo = capturedRepo(prog, mem);
-    ASSERT_FALSE(repo.entries.empty());
-
-    // Unchanged memory: nothing is stale.
-    EXPECT_TRUE(dbt::staleEntries(repo, mem).empty());
-
-    // Patch one code byte: every entry touching that page goes stale,
-    // and at least the entry covering the patched pc does.
-    const Addr patched = repo.entries.front().entryPc;
-    mem.write8(patched, mem.read8(patched) ^ 0xFF);
-    auto stale = dbt::staleEntries(repo, mem);
-    EXPECT_FALSE(stale.empty());
-    EXPECT_TRUE(stale.count(0));
-
-    // A fully rewritten image (all hashed pages changed) invalidates
-    // every entry. (page + 1, so the earlier single-byte patch at the
-    // page base is not flipped back to its original value.)
-    for (const auto &[page, hash] : repo.pageHashes)
-        mem.write8(page + 1, mem.read8(page + 1) ^ 0xFF);
-    EXPECT_EQ(dbt::staleEntries(repo, mem).size(), repo.entries.size());
-}
-
 // ---------------------------------------------------------------------
 // Warm start end to end
 // ---------------------------------------------------------------------
@@ -236,7 +65,7 @@ TEST(WarmStart, DifferentialBitIdenticalToColdRun)
     x86::Memory ref_mem;
     RunResult ref = runInterp(prog, ref_mem);
 
-    // Cold run, saving the repository on the way out.
+    // Cold run, saving the image on the way out.
     vmm::VmmConfig save_cfg = cfgSoft();
     save_cfg.warmStartSavePath = path;
     x86::Memory cold_mem;
@@ -253,7 +82,7 @@ TEST(WarmStart, DifferentialBitIdenticalToColdRun)
     }
     EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, cold, cold_mem));
 
-    // Warm run from the saved repository.
+    // Warm run from the saved image.
     vmm::VmmConfig load_cfg = cfgSoft();
     load_cfg.warmStartLoadPath = path;
     x86::Memory warm_mem;
@@ -264,7 +93,7 @@ TEST(WarmStart, DifferentialBitIdenticalToColdRun)
     EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, warm, warm_mem));
     EXPECT_EQ(warm.retired, cold.retired);
 
-    // The warm stats prove the repository was actually used.
+    // The warm stats prove the image was actually used.
     EXPECT_GT(warm_st.warmLoaded, 0u);
     EXPECT_GT(warm_st.warmInstalled, 0u);
     EXPECT_EQ(warm_st.warmInvalidated, 0u);
@@ -281,7 +110,7 @@ TEST(WarmStart, StaleRepositoryFallsBackToColdTranslation)
 {
     const std::string path = tempPath("warm_stale.cdvm");
 
-    // Save a repository for program A, then warm-start program B --
+    // Save an image for program A, then warm-start program B --
     // different code at the same addresses. Every stale entry must be
     // rejected and the run must still be correct.
     workload::Program prog_a = testProgram(21);
