@@ -439,7 +439,7 @@ main(int argc, char **argv)
     }
 
     // Continuous profiling: the sampling profiler's view of the run,
-    // the flight recorder, and any interval snapshots.
+    // the event ring's flight dump, and any interval snapshots.
     const engine::SamplingProfiler &prof = vm.profiler();
     if (prof.enabled() && prof.samples()) {
         std::printf("\n%s", prof.dumpTopN(5).c_str());
@@ -455,11 +455,11 @@ main(int argc, char **argv)
                     "retained, %llu storms)\n",
                     cfg.flightDumpPath.c_str(),
                     vm.dumpFlight(cfg.flightDumpPath) ? "ok" : "FAILED",
-                    vm.flightRecorder().size(),
+                    vm.timeline().ring().size(),
                     static_cast<unsigned long long>(
-                        vm.flightRecorder().recorded()),
+                        vm.timeline().ring().recorded()),
                     static_cast<unsigned long long>(
-                        vm.flightSink().storms()));
+                        vm.timeline().storms()));
     }
     if (cfg.snapshotEveryInsns) {
         std::printf("interval snapshots: %zu rows every %llu insns\n",

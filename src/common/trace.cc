@@ -1,5 +1,6 @@
 #include "common/trace.hh"
 
+#include <bit>
 #include <cstdio>
 #include <sstream>
 
@@ -39,6 +40,21 @@ static_assert(sizeof(PHASE_INFO) / sizeof(PHASE_INFO[0]) ==
 
 const char *TRACK_NAMES[] = {"vmm", "timing"};
 
+/** Write doc to path. @return false on I/O failure. */
+bool
+writeDoc(const std::string &path, const std::string &doc,
+         const char *what)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f) {
+        cdvm_warn("cannot open %s output '%s'", what, path.c_str());
+        return false;
+    }
+    std::size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
+    std::fclose(f);
+    return n == doc.size();
+}
+
 } // namespace
 
 const char *
@@ -63,38 +79,11 @@ Tracer::global()
 void
 Tracer::enable(std::size_t capacity_events)
 {
-    if (capacity_events == 0)
-        cdvm_fatal("trace buffer capacity must be positive");
-    buf.assign(capacity_events, TraceEvent{});
+    const std::size_t cap =
+        capacity_events ? std::bit_ceil(capacity_events) : 0;
+    std::vector<TraceEvent>(cap).swap(buf); // release, not just clear
+    mask = cap - 1; // unused while the ring is empty
     total = 0;
-    on = true;
-}
-
-void
-Tracer::disable()
-{
-    on = false;
-    total = 0;
-    std::vector<TraceEvent>().swap(buf); // release, not just clear
-}
-
-void
-Tracer::record(TracePhase phase, u64 ts, u64 dur, u64 arg, u8 track)
-{
-    TraceEvent &e = buf[total % buf.size()];
-    e.ts = ts;
-    e.dur = dur;
-    e.arg = arg;
-    e.phase = phase;
-    e.track = track;
-    ++total;
-}
-
-std::size_t
-Tracer::size() const
-{
-    return total < buf.size() ? static_cast<std::size_t>(total)
-                              : buf.size();
 }
 
 std::vector<TraceEvent>
@@ -103,9 +92,8 @@ Tracer::snapshot() const
     std::vector<TraceEvent> out;
     const std::size_t n = size();
     out.reserve(n);
-    const u64 first = total > buf.size() ? total - buf.size() : 0;
-    for (u64 i = first; i < total; ++i)
-        out.push_back(buf[i % buf.size()]);
+    for (u64 i = total - n; i < total; ++i)
+        out.push_back(buf[static_cast<std::size_t>(i) & mask]);
     return out;
 }
 
@@ -154,15 +142,35 @@ Tracer::dumpChromeJson() const
 bool
 Tracer::writeChromeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        cdvm_warn("cannot open trace output '%s'", path.c_str());
-        return false;
+    return writeDoc(path, dumpChromeJson(), "trace");
+}
+
+std::string
+Tracer::dumpText() const
+{
+    std::ostringstream os;
+    os << "# flight recorder: " << size() << " of " << recorded()
+       << " events retained (" << dropped() << " overwritten), "
+       << "capacity " << capacity() << "\n";
+    os << "# ts phase dur arg track\n";
+    char line[96];
+    for (const TraceEvent &e : snapshot()) {
+        std::snprintf(line, sizeof(line),
+                      "%12llu %-13s %6llu 0x%llx %u\n",
+                      static_cast<unsigned long long>(e.ts),
+                      tracePhaseName(e.phase),
+                      static_cast<unsigned long long>(e.dur),
+                      static_cast<unsigned long long>(e.arg),
+                      static_cast<unsigned>(e.track));
+        os << line;
     }
-    std::string doc = dumpChromeJson();
-    std::size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    return n == doc.size();
+    return os.str();
+}
+
+bool
+Tracer::writeText(const std::string &path) const
+{
+    return writeDoc(path, dumpText(), "flight-dump");
 }
 
 } // namespace cdvm

@@ -1,12 +1,22 @@
 /**
  * @file
- * Low-overhead phase/event tracer for the staged-emulation pipeline.
+ * The event ring: one low-overhead recorder for the staged-emulation
+ * timeline, with two exporters.
  *
- * A preallocated ring buffer of timestamped spans records what the VM
- * is doing over (virtual) time: interpreting, BBT-translating,
+ * A preallocated power-of-two ring of timestamped spans records what
+ * the VM is doing over (virtual) time: interpreting, BBT-translating,
  * executing translated code, optimizing hotspots, flushing caches,
- * chaining, running hardware assists. When the buffer wraps, the
- * oldest events are overwritten (the dropped count is kept).
+ * chaining, running hardware assists. Recording is one masked store
+ * plus a counter increment; when the ring wraps, the oldest events
+ * are overwritten (the dropped count is kept).
+ *
+ * The same class serves two owners. Every Vmm keeps a small ring of
+ * its own, always on, so the last few thousand events are available
+ * for a post-mortem dump (on demand, on a flush storm, from the panic
+ * path). The process-wide ring, Tracer::global(), is enabled by the
+ * CLI trace flags, sized generously and dumped once at exit; Vmms
+ * copy their events to it on track 0 and the timing simulator records
+ * on track 1.
  *
  * Time is whatever monotonic u64 the instrumented layer owns: the
  * functional VMM uses a work-unit clock (retired instructions advance
@@ -14,13 +24,14 @@
  * translated), the timing simulators use cycles. Layers record on
  * separate tracks so the timelines do not interleave.
  *
- * Disabled mode costs one predictable branch per call site and holds
- * no allocation: the buffer is only created by enable() and released
- * by disable(). Compiling with -DCDVM_NO_TRACING removes the call
- * sites entirely (the CDVM_TRACE_* macros become no-ops).
+ * A disabled ring (capacity 0) costs one predictable branch per call
+ * and holds no allocation. The producer is single-threaded and
+ * lock-free; a crash-dump path may read the ring from another thread,
+ * which is acceptable for a best-effort post-mortem artifact.
  *
- * Output is Chrome trace_event JSON ("X" complete events), loadable
- * in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
+ * Exporters: Chrome trace_event JSON ("X" complete events), loadable
+ * in Perfetto (https://ui.perfetto.dev) or chrome://tracing, and the
+ * flight-dump text format (one line per event, oldest first).
  */
 
 #ifndef CDVM_COMMON_TRACE_HH
@@ -68,62 +79,85 @@ struct TraceEvent
     u8 track = 0; //!< Chrome tid: 0 = vmm, 1 = timing sim
 };
 
-/** The ring-buffer tracer. */
+static_assert(sizeof(TraceEvent) <= 32,
+              "TraceEvent is stored per ring slot; keep it compact");
+
+/** The event ring. */
 class Tracer
 {
   public:
-    Tracer() = default;
+    /**
+     * Preallocate a ring of at least capacity_events entries (rounded
+     * up to a power of two). 0 constructs a disabled ring.
+     */
+    explicit Tracer(std::size_t capacity_events = 0)
+    {
+        enable(capacity_events);
+    }
+
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
 
-    /** The process-wide tracer used by the CLI trace flags. */
+    /** The process-wide ring written by the CLI trace flags. */
     static Tracer &global();
 
     /**
-     * Start tracing into a freshly preallocated buffer of
-     * capacity_events entries (older contents are discarded).
+     * Start recording into a freshly preallocated ring of at least
+     * capacity_events entries, rounded up to a power of two (older
+     * contents are discarded). 0 disables.
      */
     void enable(std::size_t capacity_events);
 
-    /** Stop tracing and release the buffer. */
-    void disable();
+    /** Stop recording and release the ring. */
+    void disable() { enable(0); }
 
-    bool enabled() const { return on; }
+    bool enabled() const { return !buf.empty(); }
+
+    /** Record one event: a masked store, overwriting the oldest. */
+    void
+    record(const TraceEvent &e)
+    {
+        if (buf.empty())
+            return;
+        buf[static_cast<std::size_t>(total) & mask] = e;
+        ++total;
+    }
 
     /** Record a span; no-op (one branch) when disabled. */
     void
     span(TracePhase phase, u64 ts, u64 dur, u64 arg = 0, u8 track = 0)
     {
-        if (!on)
-            return;
-        record(phase, ts, dur, arg, track);
+        record(TraceEvent{ts, dur, arg, phase, track});
     }
 
     /** Record an instant event; no-op (one branch) when disabled. */
     void
     instant(TracePhase phase, u64 ts, u64 arg = 0, u8 track = 0)
     {
-        if (!on)
-            return;
-        record(phase, ts, 0, arg, track);
+        record(TraceEvent{ts, 0, arg, phase, track});
     }
 
     /** Events currently retained (<= capacity). */
-    std::size_t size() const;
+    std::size_t
+    size() const
+    {
+        return total < buf.size() ? static_cast<std::size_t>(total)
+                                  : buf.size();
+    }
 
     /** Ring capacity in events (0 when disabled). */
     std::size_t capacity() const { return buf.size(); }
 
-    /** Events ever recorded since enable(). */
+    /** Events ever recorded since enable() (or clear()). */
     u64 recorded() const { return total; }
 
     /** Events lost to ring wraparound. */
-    u64 dropped() const { return total > buf.size() ? total - buf.size() : 0; }
+    u64 dropped() const { return total - size(); }
 
     /** Retained events, oldest first. */
     std::vector<TraceEvent> snapshot() const;
 
-    /** Forget recorded events but keep tracing (buffer retained). */
+    /** Forget recorded events; the ring stays allocated. */
     void clear() { total = 0; }
 
     /** Chrome trace_event JSON document of the retained events. */
@@ -132,12 +166,19 @@ class Tracer
     /** Write dumpChromeJson() to path. @return false on I/O failure. */
     bool writeChromeJson(const std::string &path) const;
 
-  private:
-    void record(TracePhase phase, u64 ts, u64 dur, u64 arg, u8 track);
+    /**
+     * Flight-dump text of the retained events, oldest first, under a
+     * header line carrying the recorded/dropped totals.
+     */
+    std::string dumpText() const;
 
-    bool on = false;
+    /** Write dumpText() to path. @return false on I/O failure. */
+    bool writeText(const std::string &path) const;
+
+  private:
     std::vector<TraceEvent> buf;
-    u64 total = 0; //!< events ever recorded; ring head = total % size
+    std::size_t mask = 0;
+    u64 total = 0; //!< events ever recorded; next slot = total & mask
 };
 
 /**
@@ -197,15 +238,5 @@ class SpanCoalescer
 };
 
 } // namespace cdvm
-
-#ifdef CDVM_NO_TRACING
-#define CDVM_TRACE_SPAN(tracer, phase, ts, dur, ...) ((void)0)
-#define CDVM_TRACE_INSTANT(tracer, phase, ts, ...) ((void)0)
-#else
-#define CDVM_TRACE_SPAN(tracer, phase, ts, dur, ...) \
-    (tracer).span((phase), (ts), (dur), ##__VA_ARGS__)
-#define CDVM_TRACE_INSTANT(tracer, phase, ts, ...) \
-    (tracer).instant((phase), (ts), ##__VA_ARGS__)
-#endif
 
 #endif // CDVM_COMMON_TRACE_HH

@@ -9,8 +9,8 @@
  * using the TracePhase vocabulary (the same phases PR 1's tracer
  * records). Consumers attach as StageSinks:
  *
- *  - TraceSink turns events into tracer spans on a work-unit clock
- *    (the functional VMM's track-0 timeline);
+ *  - TimelineSink (profiler.hh) records events into an event ring on
+ *    a work-unit clock (the functional VMM's track-0 timeline);
  *  - StageCounter tallies retired instructions and translation
  *    activity per stage (functional retire counts);
  *  - the timing simulator's cycle model (in startup_sim.cc) prices
@@ -91,41 +91,6 @@ class EventStream
 
   private:
     std::vector<StageSink *> sinks;
-};
-
-/**
- * Tracer consumer: renders the event stream as phase spans on a
- * monotonically advancing work-unit clock (each covered instruction
- * advances it by one), exactly as the pre-engine VMM recorded them.
- */
-class TraceSink : public StageSink
-{
-  public:
-    explicit TraceSink(Tracer &tracer, u8 track_id = 0)
-        : tr(tracer), track(track_id)
-    {
-    }
-
-    void
-    onEvent(const StageEvent &e) override
-    {
-        if (e.instant) {
-            CDVM_TRACE_INSTANT(tr, e.stage, vclock, e.arg, track);
-            return;
-        }
-        if (e.insns == 0)
-            return;
-        CDVM_TRACE_SPAN(tr, e.stage, vclock, e.insns, e.arg, track);
-        vclock += e.insns;
-    }
-
-    /** The work-unit clock after all events so far. */
-    u64 clock() const { return vclock; }
-
-  private:
-    Tracer &tr;
-    u8 track;
-    u64 vclock = 0;
 };
 
 /**

@@ -226,7 +226,7 @@ SamplingProfiler::clear()
 }
 
 void
-FlightSink::noteFlush()
+TimelineSink::noteFlush()
 {
     flushClocks.push_back(vclock);
     // Expire flushes that slid out of the window (the vector stays
@@ -256,12 +256,12 @@ FlightSink::noteFlush()
                    static_cast<unsigned long long>(vclock));
         return;
     }
-    if (rec_.writeText(dumpPath)) {
+    if (ring_.writeText(dumpPath)) {
         ++stormDumpCount;
         cdvm_debug("flight recorder: cache-flush storm #%llu at clock "
                    "%llu, dumped %zu events to %s",
                    static_cast<unsigned long long>(stormCount),
-                   static_cast<unsigned long long>(vclock), rec_.size(),
+                   static_cast<unsigned long long>(vclock), ring_.size(),
                    dumpPath.c_str());
     }
 }

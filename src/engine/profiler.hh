@@ -12,12 +12,14 @@
  *    sampled events. The ranking it produces orders the warm-start
  *    repository hottest-first and is exportable as JSON.
  *
- *  - FlightSink feeds every event into the in-VM FlightRecorder ring
- *    and watches for code-cache flush storms: when more than a
- *    configured number of CacheFlush events land inside a sliding
- *    window of executed instructions, the ring is dumped to a file
- *    automatically -- the post-mortem for "the caches thrashed and
- *    startup fell off a cliff".
+ *  - TimelineSink owns the VM's work-unit clock and its event ring:
+ *    every event lands in the ring once (and is copied to the
+ *    process-wide Tracer while that is enabled). It also watches for
+ *    code-cache flush storms: when more than a configured number of
+ *    CacheFlush events land inside a sliding window of executed
+ *    instructions, the ring is dumped to a file automatically -- the
+ *    post-mortem for "the caches thrashed and startup fell off a
+ *    cliff".
  *
  * Both sinks run on the dispatch thread only (background SBT workers
  * never emit stage events), so neither needs synchronization.
@@ -30,8 +32,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/flight_recorder.hh"
 #include "common/statreg.hh"
+#include "common/trace.hh"
 #include "common/types.hh"
 #include "engine/events.hh"
 #include "x86/memory.hh"
@@ -187,22 +189,29 @@ class SamplingProfiler : public StageSink
 };
 
 /**
- * Flight-recorder consumer: every stage event lands in the ring, and
- * CacheFlush storms trigger an automatic dump.
+ * Timeline consumer: renders the event stream onto a monotonically
+ * advancing work-unit clock (each covered instruction advances it by
+ * one) and records each event once in its own ring, as a span (dur =
+ * instructions covered) or an instant. CacheFlush storms trigger an
+ * automatic flight dump of the ring.
  */
-class FlightSink : public StageSink
+class TimelineSink : public StageSink
 {
   public:
     /**
-     * @param rec the ring to feed (its lifetime must cover the sink's)
+     * @param ring_events ring capacity (rounded up to a power of two;
+     *        0 keeps only the clock)
+     * @param mirror ring that also receives every event on track 0
+     *        while it is enabled (null: none)
      * @param storm_threshold flushes within the window that constitute
      *        a storm (0 disables storm detection)
      * @param storm_window_insns sliding window, in work units
      * @param dump_path where storm dumps go (empty: count only)
      */
-    FlightSink(FlightRecorder &rec, unsigned storm_threshold,
-               u64 storm_window_insns, std::string dump_path)
-        : rec_(rec), threshold(storm_threshold),
+    TimelineSink(std::size_t ring_events, Tracer *mirror,
+                 unsigned storm_threshold, u64 storm_window_insns,
+                 std::string dump_path)
+        : ring_(ring_events), mirror_(mirror), threshold(storm_threshold),
           window(storm_window_insns), dumpPath(std::move(dump_path))
     {
     }
@@ -210,16 +219,25 @@ class FlightSink : public StageSink
     void
     onEvent(const StageEvent &e) override
     {
-        rec_.record(e.stage, vclock, static_cast<u32>(e.insns),
-                    e.x86Addr ? e.x86Addr : e.arg);
-        if (!e.instant)
-            vclock += e.insns;
+        if (!e.instant && e.insns == 0)
+            return;
+        const TraceEvent ev{vclock, e.instant ? 0 : e.insns, e.arg,
+                            e.stage, 0};
+        ring_.record(ev);
+#ifndef CDVM_NO_TRACING
+        if (mirror_ && mirror_->enabled())
+            mirror_->record(ev);
+#endif
+        vclock += ev.dur;
         if (e.stage == TracePhase::CacheFlush && threshold)
             noteFlush();
     }
 
-    /** Work-unit clock after all events so far. */
+    /** The work-unit clock after all events so far. */
     u64 clock() const { return vclock; }
+
+    /** This sink's own event ring. */
+    const Tracer &ring() const { return ring_; }
 
     /** Storm episodes detected. */
     u64 storms() const { return stormCount; }
@@ -230,7 +248,8 @@ class FlightSink : public StageSink
   private:
     void noteFlush();
 
-    FlightRecorder &rec_;
+    Tracer ring_;
+    Tracer *mirror_;
     unsigned threshold;
     u64 window;
     std::string dumpPath;

@@ -154,8 +154,8 @@ class StartupSim
     /**
      * Attach an extra consumer of the simulated stage-event stream
      * (the same profiling sinks the functional VMM takes: a
-     * SamplingProfiler heatmaps the simulated run, a FlightSink rides
-     * the simulated timeline). Must outlive run().
+     * SamplingProfiler heatmaps the simulated run, a TimelineSink
+     * records it into an event ring). Must outlive run().
      */
     void attachSink(engine::StageSink *s) { extraSinks.push_back(s); }
 

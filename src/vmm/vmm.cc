@@ -79,7 +79,10 @@ Vmm::Vmm(x86::Memory &memory, const VmmConfig &config,
     : mem(memory),
       cfg(config),
       svc(services),
-      traceSink(Tracer::global(), 0),
+      // Storm detection needs a ring to dump, so it is off with it.
+      timeline_(cfg.flightRecorderEvents, &Tracer::global(),
+                cfg.flightRecorderEvents ? cfg.flushStormThreshold : 0,
+                cfg.flushStormWindowInsns, cfg.flightDumpPath),
       branchProf(cfg.branchProfCap, cfg.branchProfReserve),
       sbtFailed(cfg.sbtFailedCap),
       ccm(memory, cfg, st, events),
@@ -94,24 +97,20 @@ Vmm::Vmm(x86::Memory &memory, const VmmConfig &config,
                          cfg, svc.sbtPool)
                    : nullptr),
       translatedExec(memory, st, branchProf),
-      prof(cfg.profileSamplePeriod),
-      flight(cfg.flightRecorderEvents),
-      flightFeed(flight, cfg.flushStormThreshold,
-                 cfg.flushStormWindowInsns, cfg.flightDumpPath)
+      prof(cfg.profileSamplePeriod)
 {
-    events.attach(&traceSink);
+    events.attach(&timeline_);
     // Profiling sinks attach before the warm start so the warm fill
     // is recorded and sampled like any other stage work.
     if (prof.enabled())
         events.attach(&prof);
-    if (flight.enabled()) {
-        events.attach(&flightFeed);
+    if (timeline_.ring().enabled()) {
         // Abnormal-exit post-mortem: panics dump the ring before the
         // abort. Registered per-Vmm; any number of live contexts can
         // coexist, and each unregisters exactly its own hook.
         crashHook = addCrashHook([this] {
             if (!cfg.flightDumpPath.empty()) {
-                if (flight.writeText(cfg.flightDumpPath)) {
+                if (timeline_.ring().writeText(cfg.flightDumpPath)) {
                     std::fprintf(stderr,
                                  "panic: flight recorder dumped to "
                                  "%s\n",
@@ -119,7 +118,7 @@ Vmm::Vmm(x86::Memory &memory, const VmmConfig &config,
                 }
                 return;
             }
-            std::fprintf(stderr, "%s", flight.dumpText().c_str());
+            std::fprintf(stderr, "%s", timeline_.ring().dumpText().c_str());
         });
     }
     if (cfg.snapshotEveryInsns)
@@ -310,12 +309,12 @@ Vmm::run(x86::CpuState &cpu, InstCount max_insns)
 void
 Vmm::dumpFlightOnAbnormal(x86::Exit e) const
 {
-    if (!flight.enabled() || cfg.flightDumpPath.empty())
+    if (!timeline_.ring().enabled() || cfg.flightDumpPath.empty())
         return;
-    if (flight.writeText(cfg.flightDumpPath)) {
+    if (timeline_.ring().writeText(cfg.flightDumpPath)) {
         cdvm_debug("flight recorder: abnormal exit (%s), dumped %zu "
                    "events to %s",
-                   x86::exitName(e), flight.size(),
+                   x86::exitName(e), timeline_.ring().size(),
                    cfg.flightDumpPath.c_str());
     }
 }
@@ -569,7 +568,7 @@ Vmm::exportCoreStats(StatRegistry &reg) const
         "JCPX exits cracked by the software complex handler");
     set("vmm.xlt.cti_fallbacks", st.xltCtiFallbacks,
         "JCTI exits cracked by the software branch handler");
-    set("vmm.trace_clock", traceSink.clock(),
+    set("vmm.trace_clock", timeline_.clock(),
         "virtual work-unit clock at export time");
 
     // engine.xlate.*: per-backend host translation-time histograms.
@@ -599,16 +598,17 @@ Vmm::exportCoreStats(StatRegistry &reg) const
     // engine.profiler.* / engine.flight.*: continuous profiling.
     if (prof.enabled())
         prof.exportStats(reg);
-    if (flight.enabled()) {
-        set("engine.flight.capacity", flight.capacity(),
+    const Tracer &ring = timeline_.ring();
+    if (ring.enabled()) {
+        set("engine.flight.capacity", ring.capacity(),
             "flight recorder ring capacity (events)");
-        set("engine.flight.recorded", flight.recorded(),
+        set("engine.flight.recorded", ring.recorded(),
             "stage events recorded by the flight recorder");
-        set("engine.flight.dropped", flight.dropped(),
+        set("engine.flight.dropped", ring.dropped(),
             "flight recorder events lost to ring overwrite");
-        set("engine.flight.storms", flightFeed.storms(),
+        set("engine.flight.storms", timeline_.storms(),
             "cache-flush storm episodes detected");
-        set("engine.flight.storm_dumps", flightFeed.stormDumps(),
+        set("engine.flight.storm_dumps", timeline_.stormDumps(),
             "storm episodes that produced a dump file");
     }
     if (cfg.snapshotEveryInsns) {

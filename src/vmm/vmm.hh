@@ -20,9 +20,9 @@
  *    precise-state recovery.
  *
  * Everything the core does is narrated as an engine::StageEvent
- * stream; the tracer's track-0 timeline is one consumer (TraceSink)
- * and callers may attach their own sinks (StageCounter gives retire
- * counts per stage).
+ * stream; the Vmm's own timeline (TimelineSink: work-unit clock and
+ * event ring) is one consumer and callers may attach their own sinks
+ * (StageCounter gives retire counts per stage).
  *
  * This is the functional VMM: it really translates, really executes
  * micro-ops from a really-allocated code cache, and is differentially
@@ -36,7 +36,6 @@
 #include <memory>
 #include <optional>
 
-#include "common/flight_recorder.hh"
 #include "common/logging.hh"
 #include "common/statreg.hh"
 #include "common/trace.hh"
@@ -164,26 +163,24 @@ class Vmm
     /**
      * The VMM's virtual trace clock, in work units: retired x86
      * instructions advance it by one each, translation work by the
-     * number of instructions translated. Phase spans recorded with
-     * the global Tracer use this timebase (track 0).
+     * number of instructions translated. The event ring and the
+     * process-wide Tracer's track 0 use this timebase.
      */
-    u64 traceClock() const { return traceSink.clock(); }
+    u64 traceClock() const { return timeline_.clock(); }
 
     // --- continuous profiling ---------------------------------------
     /** The guest-hotness sampling profiler (disabled when period 0). */
     const engine::SamplingProfiler &profiler() const { return prof; }
 
-    /** The always-on flight recorder ring. */
-    const FlightRecorder &flightRecorder() const { return flight; }
+    /** The work-unit clock, the always-on event ring (flight
+     *  recorder) and the flush-storm counters. */
+    const engine::TimelineSink &timeline() const { return timeline_; }
 
-    /** Flush-storm detection counters. */
-    const engine::FlightSink &flightSink() const { return flightFeed; }
-
-    /** Dump the flight recorder to path now. @return success. */
+    /** Dump the event ring to path now. @return success. */
     bool
     dumpFlight(const std::string &path) const
     {
-        return flight.writeText(path);
+        return timeline_.ring().writeText(path);
     }
 
     /** Interval snapshots taken on the retired-instruction clock. */
@@ -226,7 +223,8 @@ class Vmm
     VmmStats st;
 
     engine::EventStream events;
-    engine::TraceSink traceSink;
+    /** Work-unit clock, event ring and flush-storm detector. */
+    engine::TimelineSink timeline_;
 
     /** Per-branch direction profile (bounded; feeds the SBT's bias). */
     engine::BranchProfile branchProf;
@@ -252,8 +250,6 @@ class Vmm
     LogHistogram xlateTmplNs{2.0, 40};
     LogHistogram xlateSbtNs{2.0, 40};
     engine::SamplingProfiler prof;
-    FlightRecorder flight;
-    engine::FlightSink flightFeed;
     /** This context's registration in the crash-hook registry. */
     CrashHookId crashHook = NO_CRASH_HOOK;
     SnapshotSeries snaps;

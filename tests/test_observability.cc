@@ -1,8 +1,9 @@
 /**
  * @file
  * Observability-layer tests: the hierarchical StatRegistry, the phase
- * tracer (ring wraparound, disabled-mode no-op), span coalescing,
- * histogram percentiles, and the VMM/timing stat exports.
+ * tracer's Chrome JSON export, span coalescing, histogram percentiles,
+ * and the VMM/timing stat exports. The ring itself is tested in
+ * test_profiler.cc.
  */
 
 #include <gtest/gtest.h>
@@ -122,40 +123,6 @@ TEST(LogHistogram, PercentileInterpolation)
     EXPECT_LE(p99, 100.0);
     // Clamped arguments behave.
     EXPECT_LE(h.percentile(-5.0), h.percentile(200.0));
-}
-
-TEST(Tracer, DisabledModeIsFreeAndEmpty)
-{
-    Tracer tr;
-    EXPECT_FALSE(tr.enabled());
-    EXPECT_EQ(tr.capacity(), 0u); // no allocation when disabled
-    tr.span(TracePhase::Interp, 0, 10);
-    tr.instant(TracePhase::Chain, 5);
-    EXPECT_EQ(tr.recorded(), 0u);
-    EXPECT_EQ(tr.size(), 0u);
-    EXPECT_TRUE(tr.snapshot().empty());
-}
-
-TEST(Tracer, RingWraparoundKeepsNewest)
-{
-    Tracer tr;
-    tr.enable(4);
-    EXPECT_TRUE(tr.enabled());
-    EXPECT_EQ(tr.capacity(), 4u);
-    for (u64 i = 0; i < 10; ++i)
-        tr.span(TracePhase::BbtExec, i * 100, 50, i);
-    EXPECT_EQ(tr.recorded(), 10u);
-    EXPECT_EQ(tr.size(), 4u);
-    EXPECT_EQ(tr.dropped(), 6u);
-    std::vector<TraceEvent> evs = tr.snapshot();
-    ASSERT_EQ(evs.size(), 4u);
-    // Oldest-first snapshot of the newest four events (args 6..9).
-    for (u64 i = 0; i < 4; ++i) {
-        EXPECT_EQ(evs[i].arg, 6 + i);
-        EXPECT_EQ(evs[i].ts, (6 + i) * 100);
-    }
-    tr.disable();
-    EXPECT_EQ(tr.capacity(), 0u);
 }
 
 TEST(Tracer, ChromeJsonHasPhasesTracksAndMetadata)

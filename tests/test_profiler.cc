@@ -1,7 +1,8 @@
 /**
  * @file
- * Continuous-profiling layer tests: the flight-recorder ring
- * (wraparound, overwrite ordering, text dump), the sampling
+ * Continuous-profiling layer tests: the event ring as flight recorder
+ * (wraparound, overwrite ordering, text dump), the Vmm's timeline sink
+ * against the process-wide ring, the sampling
  * profiler's countdown arithmetic and attribution, agreement between
  * the sampled heatmap and exhaustive per-page accounting, sampler
  * determinism across the deterministic async pipeline, interval
@@ -17,8 +18,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/flight_recorder.hh"
 #include "common/statreg.hh"
+#include "common/trace.hh"
 #include "engine/events.hh"
 #include "engine/profiler.hh"
 #include "vmm/vmm.hh"
@@ -50,82 +51,90 @@ slurp(const std::string &path)
     return s;
 }
 
-// --- flight recorder ----------------------------------------------------
+// --- event ring as flight recorder -------------------------------------
 
-TEST(FlightRecorder, DisabledRecorderIsANoOp)
+TEST(EventRing, DisabledRingIsANoOp)
 {
-    FlightRecorder rec(0);
-    EXPECT_FALSE(rec.enabled());
-    EXPECT_EQ(rec.capacity(), 0u);
-    rec.record(TracePhase::Interp, 0, 1, 0x400000);
-    EXPECT_EQ(rec.recorded(), 0u);
-    EXPECT_EQ(rec.size(), 0u);
-    EXPECT_TRUE(rec.snapshot().empty());
+    Tracer ring; // capacity 0
+    EXPECT_FALSE(ring.enabled());
+    EXPECT_EQ(ring.capacity(), 0u); // no allocation when disabled
+    ring.span(TracePhase::Interp, 0, 1, 0x400000);
+    ring.instant(TracePhase::Chain, 5);
+    EXPECT_EQ(ring.recorded(), 0u);
+    EXPECT_EQ(ring.size(), 0u);
+    EXPECT_TRUE(ring.snapshot().empty());
 }
 
-TEST(FlightRecorder, CapacityRoundsUpToPowerOfTwo)
+TEST(EventRing, CapacityRoundsUpToPowerOfTwo)
 {
-    FlightRecorder rec(5);
-    EXPECT_EQ(rec.capacity(), 8u);
+    Tracer ring(5);
+    EXPECT_EQ(ring.capacity(), 8u);
+    ring.enable(9);
+    EXPECT_EQ(ring.capacity(), 16u);
 }
 
-TEST(FlightRecorder, WraparoundKeepsNewestOldestFirst)
+TEST(EventRing, WraparoundKeepsNewestOldestFirst)
 {
-    FlightRecorder rec(8);
+    Tracer ring(8);
+    EXPECT_TRUE(ring.enabled());
     for (u64 i = 0; i < 20; ++i)
-        rec.record(TracePhase::BbtExec, i * 10, 5,
-                   0x400000 + i);
-    EXPECT_EQ(rec.recorded(), 20u);
-    EXPECT_EQ(rec.size(), 8u);
-    EXPECT_EQ(rec.dropped(), 12u);
+        ring.span(TracePhase::BbtExec, i * 10, 5, 0x400000 + i);
+    EXPECT_EQ(ring.recorded(), 20u);
+    EXPECT_EQ(ring.size(), 8u);
+    EXPECT_EQ(ring.dropped(), 12u);
 
-    std::vector<FlightEvent> evs = rec.snapshot();
+    std::vector<TraceEvent> evs = ring.snapshot();
     ASSERT_EQ(evs.size(), 8u);
     // The newest eight events (i = 12..19), oldest first.
     for (u64 i = 0; i < 8; ++i) {
         EXPECT_EQ(evs[i].arg, 0x400000 + 12 + i);
-        EXPECT_EQ(evs[i].clock, (12 + i) * 10);
-        EXPECT_EQ(evs[i].insns, 5u);
+        EXPECT_EQ(evs[i].ts, (12 + i) * 10);
+        EXPECT_EQ(evs[i].dur, 5u);
         EXPECT_EQ(evs[i].phase, TracePhase::BbtExec);
     }
+    ring.disable();
+    EXPECT_FALSE(ring.enabled());
+    EXPECT_EQ(ring.capacity(), 0u);
 }
 
-TEST(FlightRecorder, PartialFillSnapshotsInOrder)
+TEST(EventRing, PartialFillSnapshotsInOrder)
 {
-    FlightRecorder rec(16);
-    rec.record(TracePhase::Interp, 0, 3, 0xa);
-    rec.record(TracePhase::BbtTranslate, 3, 7, 0xb);
-    rec.record(TracePhase::CacheFlush, 10, 0, 1);
-    EXPECT_EQ(rec.size(), 3u);
-    EXPECT_EQ(rec.dropped(), 0u);
-    std::vector<FlightEvent> evs = rec.snapshot();
+    Tracer ring(16);
+    ring.span(TracePhase::Interp, 0, 3, 0xa);
+    ring.span(TracePhase::BbtTranslate, 3, 7, 0xb);
+    ring.instant(TracePhase::CacheFlush, 10, 1);
+    EXPECT_EQ(ring.size(), 3u);
+    EXPECT_EQ(ring.dropped(), 0u);
+    std::vector<TraceEvent> evs = ring.snapshot();
     ASSERT_EQ(evs.size(), 3u);
     EXPECT_EQ(evs[0].arg, 0xau);
     EXPECT_EQ(evs[1].phase, TracePhase::BbtTranslate);
     EXPECT_EQ(evs[2].phase, TracePhase::CacheFlush);
+    EXPECT_EQ(evs[2].dur, 0u);
 }
 
-TEST(FlightRecorder, ClearForgetsButKeepsTheRing)
+TEST(EventRing, ClearForgetsButKeepsTheRing)
 {
-    FlightRecorder rec(8);
-    for (int i = 0; i < 12; ++i)
-        rec.record(TracePhase::SbtExec, i, 1, i);
-    rec.clear();
-    EXPECT_EQ(rec.recorded(), 0u);
-    EXPECT_EQ(rec.size(), 0u);
-    EXPECT_EQ(rec.capacity(), 8u);
-    rec.record(TracePhase::Interp, 99, 1, 7);
-    ASSERT_EQ(rec.size(), 1u);
-    EXPECT_EQ(rec.snapshot()[0].clock, 99u);
+    Tracer ring(8);
+    for (u64 i = 0; i < 12; ++i)
+        ring.span(TracePhase::SbtExec, i, 1, i);
+    ring.clear();
+    EXPECT_EQ(ring.recorded(), 0u);
+    EXPECT_EQ(ring.size(), 0u);
+    EXPECT_EQ(ring.capacity(), 8u);
+    ring.span(TracePhase::Interp, 99, 1, 7);
+    ASSERT_EQ(ring.size(), 1u);
+    EXPECT_EQ(ring.snapshot()[0].ts, 99u);
 }
 
-TEST(FlightRecorder, DumpTextCarriesTotalsAndPhases)
+TEST(EventRing, DumpTextCarriesTotalsAndPhases)
 {
-    FlightRecorder rec(4);
+    Tracer ring(4);
     for (u64 i = 0; i < 6; ++i)
-        rec.record(i % 2 ? TracePhase::BbtExec : TracePhase::Interp,
-                   i * 100, 10, 0x401000 + i);
-    std::string txt = rec.dumpText();
+        ring.span(i % 2 ? TracePhase::BbtExec : TracePhase::Interp,
+                  i * 100, 10, 0x401000 + i);
+    std::string txt = ring.dumpText();
+    EXPECT_EQ(txt.rfind("# flight recorder: ", 0), 0u);
     EXPECT_NE(txt.find("4 of 6"), std::string::npos);
     EXPECT_NE(txt.find("2 overwritten"), std::string::npos);
     EXPECT_NE(txt.find("interp"), std::string::npos);
@@ -487,7 +496,7 @@ TEST(StatsJson, HistogramLeavesCarryTailPercentiles)
 
 // --- flush storms and abnormal-exit dumps -------------------------------
 
-TEST(FlightSink, FlushStormTriggersAutomaticDump)
+TEST(TimelineSink, FlushStormTriggersAutomaticDump)
 {
     const std::string path = "test_profiler_storm_dump.txt";
     std::remove(path.c_str());
@@ -509,18 +518,17 @@ TEST(FlightSink, FlushStormTriggersAutomaticDump)
     ASSERT_EQ(vm.run(cpu, u64{1} << 40), x86::Exit::Halted);
 
     ASSERT_GT(vm.stats().bbtCacheFlushes, 1u);
-    EXPECT_GT(vm.flightSink().storms(), 0u);
-    EXPECT_GT(vm.flightSink().stormDumps(), 0u);
+    EXPECT_GT(vm.timeline().storms(), 0u);
+    EXPECT_GT(vm.timeline().stormDumps(), 0u);
     std::string dump = slurp(path);
     EXPECT_NE(dump.find("flight recorder"), std::string::npos);
     EXPECT_NE(dump.find("cache-flush"), std::string::npos);
     std::remove(path.c_str());
 }
 
-TEST(FlightSink, StormCountingWorksWithoutADumpPath)
+TEST(TimelineSink, StormCountingWorksWithoutADumpPath)
 {
-    FlightRecorder rec(64);
-    engine::FlightSink sink(rec, 2, 1u << 20, "");
+    engine::TimelineSink sink(64, nullptr, 2, 1u << 20, "");
     engine::StageEvent flush;
     flush.stage = TracePhase::CacheFlush;
     flush.instant = true;
@@ -528,7 +536,93 @@ TEST(FlightSink, StormCountingWorksWithoutADumpPath)
         sink.onEvent(flush);
     EXPECT_EQ(sink.storms(), 2u);
     EXPECT_EQ(sink.stormDumps(), 0u);
-    EXPECT_EQ(rec.recorded(), 4u);
+    EXPECT_EQ(sink.ring().recorded(), 4u);
+}
+
+TEST(TimelineSink, MirrorsOnlyWhileTheMirrorIsEnabled)
+{
+    Tracer mirror;
+    engine::TimelineSink sink(16, &mirror, 0, 0, "");
+    sink.onEvent(spanEvent(TracePhase::Interp, 3, 0x400000));
+    mirror.enable(16);
+    engine::StageEvent e = spanEvent(TracePhase::BbtExec, 5, 0x400010);
+    e.arg = e.x86Addr;
+    sink.onEvent(e);
+    sink.onEvent(spanEvent(TracePhase::BbtExec, 0, 0x400020)); // empty
+    EXPECT_EQ(sink.ring().recorded(), 2u);
+    EXPECT_EQ(sink.clock(), 8u);
+    std::vector<TraceEvent> m = mirror.snapshot();
+    ASSERT_EQ(m.size(), 1u);
+    EXPECT_EQ(m[0].ts, 3u);
+    EXPECT_EQ(m[0].dur, 5u);
+    EXPECT_EQ(m[0].arg, 0x400010u);
+    EXPECT_EQ(m[0].phase, TracePhase::BbtExec);
+    EXPECT_EQ(m[0].track, 0u);
+}
+
+/**
+ * End-to-end: one event stream, one clock. The Vmm's own ring and
+ * the process-wide ring's track 0 carry the same events, and the
+ * work-unit clock is the sum of the recorded span durations.
+ */
+TEST(TimelineSink, VmmRingMatchesProcessRingTrack0)
+{
+    workload::Program prog = bigProgram();
+    x86::Memory mem;
+    prog.loadInto(mem);
+
+    // A BBT arena smaller than the translated working set: flushes
+    // and chain installs both land in the timeline.
+    vmm::VmmConfig cfg = engine::EngineConfig::vmSoft();
+    cfg.bbtCacheBytes = u64{8} << 10;
+    cfg.flightRecorderEvents = std::size_t{1} << 16;
+
+    Tracer &proc = Tracer::global();
+    proc.enable(std::size_t{1} << 16);
+    {
+        vmm::Vmm vm(mem, cfg);
+        x86::CpuState cpu = prog.initialState();
+        ASSERT_EQ(vm.run(cpu, u64{1} << 40), x86::Exit::Halted);
+        ASSERT_GT(vm.stats().bbtCacheFlushes, 0u);
+
+        const Tracer &ring = vm.timeline().ring();
+        ASSERT_EQ(ring.dropped(), 0u);
+        ASSERT_EQ(proc.dropped(), 0u);
+        std::vector<TraceEvent> own = ring.snapshot();
+        std::vector<TraceEvent> track0;
+        for (const TraceEvent &e : proc.snapshot()) {
+            if (e.track == 0)
+                track0.push_back(e);
+        }
+        ASSERT_GE(track0.size(), own.size());
+        const std::size_t off = track0.size() - own.size();
+        bool chained = false;
+        bool flushed = false;
+        u64 durs = 0;
+        for (std::size_t i = 0; i < own.size(); ++i) {
+            const TraceEvent &a = own[i];
+            const TraceEvent &b = track0[off + i];
+            ASSERT_EQ(a.ts, b.ts) << "event " << i;
+            ASSERT_EQ(a.dur, b.dur) << "event " << i;
+            ASSERT_EQ(a.arg, b.arg) << "event " << i;
+            ASSERT_EQ(a.phase, b.phase) << "event " << i;
+            ASSERT_EQ(a.track, b.track) << "event " << i;
+            chained |= a.phase == TracePhase::Chain;
+            flushed |= a.phase == TracePhase::CacheFlush;
+            durs += a.dur;
+        }
+        EXPECT_TRUE(chained);
+        EXPECT_TRUE(flushed);
+
+        StatRegistry reg;
+        vm.exportStats(reg);
+        EXPECT_EQ(reg.value("engine.flight.recorded"),
+                  static_cast<double>(track0.size()));
+        EXPECT_EQ(vm.traceClock(), durs);
+        EXPECT_EQ(reg.value("vmm.trace_clock"),
+                  static_cast<double>(durs));
+    }
+    proc.disable();
 }
 
 TEST(FlightDump, AbnormalExitWritesThePostMortem)
@@ -609,7 +703,7 @@ TEST(AsyncProfile, SamplingDuringFreeRunningAsyncInstalls)
         x86::CpuState cpu = prog.initialState();
         ASSERT_EQ(vm.run(cpu, u64{1} << 40), x86::Exit::Halted);
         EXPECT_GT(vm.profiler().samples(), 0u);
-        EXPECT_GT(vm.flightRecorder().recorded(), 0u);
+        EXPECT_GT(vm.timeline().ring().recorded(), 0u);
         StatRegistry reg;
         vm.exportStats(reg); // barriers the workers before reading
         EXPECT_GT(reg.value("engine.profiler.samples"), 0.0);
