@@ -37,8 +37,8 @@ main(int argc, char **argv)
         for (u64 thr : {1000ull, 2000ull, 4000ull, 8000ull, 16000ull,
                         64000ull}) {
             timing::MachineConfig m =
-                backend ? timing::MachineConfig::vmBe()
-                        : timing::MachineConfig::vmSoft();
+                backend ? bench::machine("vm.be")
+                        : bench::machine("vm.soft");
             m.hotThreshold = thr;
             timing::StartupSim sim(m, avg);
             timing::StartupResult r = sim.run();

@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/startup_curve.hh"
@@ -41,6 +42,15 @@ standardSetup(Cli &cli, int argc, char **argv, u64 default_insns)
                     envScale();
     u64 n = static_cast<u64>(scaled);
     return n < 1'000'000 ? 1'000'000 : n;
+}
+
+/** The timing machine of an engine spec ("vm.soft", "tmpl", ...),
+ *  optionally warm-booted from a translation image. */
+inline timing::MachineConfig
+machine(std::string_view spec, bool warm = false)
+{
+    return timing::MachineConfig::of(engine::EngineConfig::fromSpec(spec),
+                                     warm);
 }
 
 /** Run one machine over every app; returns per-app results. */

@@ -223,12 +223,13 @@ main(int argc, char **argv)
             {"vm.interp", engine::EngineConfig::vmInterp(), false});
         points.push_back(
             {"vm.soft", engine::EngineConfig::vmSoft(), false});
-        points.push_back({"vm.soft.tmpl",
-                          engine::EngineConfig::vmSoftTmpl(), false});
+        points.push_back(
+            {"tmpl", engine::EngineConfig::fromSpec("tmpl"), false});
         points.push_back({"vm.be", engine::EngineConfig::vmBe(),
                           false});
-        points.push_back({"vm.soft.async",
-                          engine::EngineConfig::vmSoftAsync(), false});
+        points.push_back({"soft+async2",
+                          engine::EngineConfig::fromSpec("soft+async2"),
+                          false});
     }
 
     std::FILE *f = std::fopen(cli.str("json").c_str(), "w");

@@ -16,7 +16,7 @@
  * some). CI asserts the default-on cost stays under
  * GATE_MAX_OVERHEAD.
  *
- * The latency section runs the async pipeline (vm.soft.async) and
+ * The latency section runs the async pipeline (soft+async2) and
  * reports the p50/p95/p99 of enqueue->install, from the engine's own
  * LogHistograms.
  *
@@ -249,10 +249,10 @@ main(int argc, char **argv)
     }
     std::fprintf(f, "\n  },\n");
 
-    // Async pipeline latency: one profiled vm.soft.async run, then
+    // Async pipeline latency: one profiled soft+async2 run, then
     // read the per-job histograms the drain path populated.
     {
-        vmm::VmmConfig acfg = engine::EngineConfig::vmSoftAsync();
+        vmm::VmmConfig acfg = engine::EngineConfig::fromSpec("soft+async2");
         x86::Memory mem;
         prog.loadInto(mem);
         vmm::Vmm vm(mem, acfg);

@@ -307,12 +307,10 @@ main(int argc, char **argv)
 
     auto apps = workload::winstone2004(insns);
 
-    auto soft = bench::runMachine(timing::MachineConfig::vmSoft(), apps);
-    auto soft_warm = bench::runMachine(
-        timing::MachineConfig::vmSoftWarm(), apps);
-    auto be = bench::runMachine(timing::MachineConfig::vmBe(), apps);
-    auto be_warm = bench::runMachine(timing::MachineConfig::vmBeWarm(),
-                                     apps);
+    auto soft = bench::runMachine(bench::machine("vm.soft"), apps);
+    auto soft_warm = bench::runMachine(bench::machine("vm.soft", true), apps);
+    auto be = bench::runMachine(bench::machine("vm.be"), apps);
+    auto be_warm = bench::runMachine(bench::machine("vm.be", true), apps);
 
     std::printf("=== Warm start: cold vs persistent-image "
                 "startup ===\n");

@@ -23,8 +23,8 @@ main(int argc, char **argv)
     u64 insns = bench::standardSetup(cli, argc, argv, 100'000'000);
 
     auto apps = workload::winstone2004(insns);
-    auto be = bench::runMachine(timing::MachineConfig::vmBe(), apps);
-    auto soft = bench::runMachine(timing::MachineConfig::vmSoft(), apps);
+    auto be = bench::runMachine(bench::machine("vm.be"), apps);
+    auto soft = bench::runMachine(bench::machine("vm.soft"), apps);
 
     std::printf("=== Figure 10: BBT translation overhead & emulation "
                 "cycle time (VM.be, %llu M insns) ===\n\n",

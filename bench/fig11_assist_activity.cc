@@ -26,9 +26,9 @@ main(int argc, char **argv)
 
     auto ref = bench::runMachine(timing::MachineConfig::refSuperscalar(),
                                  apps);
-    auto soft = bench::runMachine(timing::MachineConfig::vmSoft(), apps);
-    auto be = bench::runMachine(timing::MachineConfig::vmBe(), apps);
-    auto fe = bench::runMachine(timing::MachineConfig::vmFe(), apps);
+    auto soft = bench::runMachine(bench::machine("vm.soft"), apps);
+    auto be = bench::runMachine(bench::machine("vm.be"), apps);
+    auto fe = bench::runMachine(bench::machine("vm.fe"), apps);
 
     std::vector<Series> series;
     series.push_back(

@@ -25,15 +25,11 @@ main(int argc, char **argv)
 
     auto ref = bench::runMachine(timing::MachineConfig::refSuperscalar(),
                                  apps);
-    auto interp = bench::runMachine(timing::MachineConfig::vmInterp(),
-                                    apps);
-    auto soft = bench::runMachine(timing::MachineConfig::vmSoft(), apps);
-    auto soft_tmpl = bench::runMachine(
-        timing::MachineConfig::vmSoftTmpl(), apps);
-    auto soft_async = bench::runMachine(
-        timing::MachineConfig::vmSoftAsync(), apps);
-    auto soft_warm = bench::runMachine(
-        timing::MachineConfig::vmSoftWarm(), apps);
+    auto interp = bench::runMachine(bench::machine("vm.interp"), apps);
+    auto soft = bench::runMachine(bench::machine("vm.soft"), apps);
+    auto soft_tmpl = bench::runMachine(bench::machine("tmpl"), apps);
+    auto soft_async = bench::runMachine(bench::machine("soft+async2"), apps);
+    auto soft_warm = bench::runMachine(bench::machine("vm.soft", true), apps);
 
     // Normalize so the reference's end-of-run aggregate is 1.0, as in
     // the paper's plots.

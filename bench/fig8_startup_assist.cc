@@ -21,15 +21,12 @@ main(int argc, char **argv)
 
     auto ref = bench::runMachine(timing::MachineConfig::refSuperscalar(),
                                  apps);
-    auto soft = bench::runMachine(timing::MachineConfig::vmSoft(), apps);
-    auto soft_tmpl = bench::runMachine(
-        timing::MachineConfig::vmSoftTmpl(), apps);
-    auto be = bench::runMachine(timing::MachineConfig::vmBe(), apps);
-    auto be_async = bench::runMachine(timing::MachineConfig::vmBeAsync(),
-                                      apps);
-    auto be_warm = bench::runMachine(timing::MachineConfig::vmBeWarm(),
-                                     apps);
-    auto fe = bench::runMachine(timing::MachineConfig::vmFe(), apps);
+    auto soft = bench::runMachine(bench::machine("vm.soft"), apps);
+    auto soft_tmpl = bench::runMachine(bench::machine("tmpl"), apps);
+    auto be = bench::runMachine(bench::machine("vm.be"), apps);
+    auto be_async = bench::runMachine(bench::machine("vm.be+async2"), apps);
+    auto be_warm = bench::runMachine(bench::machine("vm.be", true), apps);
+    auto fe = bench::runMachine(bench::machine("vm.fe"), apps);
 
     double ref_final = 0.0;
     for (const auto &r : ref)

@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "bench_common.hh"
-#include "dbt/costs.hh"
 #include "hwassist/haloop.hh"
 #include "x86/decoder.hh"
 #include "uops/csr.hh"
@@ -105,7 +104,8 @@ main(int argc, char **argv)
                 uops::csr::isComplex(csr), uops::csr::isCti(csr));
 
     // --- BBT cost: software vs hardware-assisted ---------------------
-    dbt::TranslationCosts sw = dbt::TranslationCosts::software();
+    const engine::ColdTier &sw =
+        engine::coldTier(engine::ColdKind::SoftwareBbt);
     double uops_per_insn = 0;
     double ha4 = measureHaloop(4, &uops_per_insn);
 

@@ -24,7 +24,7 @@ coldDesc(const MachineConfig &m)
       case ColdMode::Interpret:
         return "software interpretation";
       case ColdMode::BbtCode:
-        return m.kind == timing::MachineKind::VmBe
+        return m.xltBusyFraction > 0.0
                    ? "BBT assisted by the backend HW decoder"
                    : "simple software BBT, no opts";
       case ColdMode::X86Direct:

@@ -4,13 +4,13 @@
  * co-designed VM (cold execution -> hotspot detection -> SBT), and
  * compare with the reference interpreter.
  *
- * Any of the engine's named configurations can drive the run:
+ * Any engine spec, <cold|alias>[+bbb][+async<N>], can drive the run:
  *
  *   $ ./build/examples/quickstart --config=vm.soft   # software BBT
- *   $ ./build/examples/quickstart --config=vm.soft.tmpl # template BBT
- *   $ ./build/examples/quickstart --config=vm.fe    # x86-mode + BBB
- *   $ ./build/examples/quickstart --config=vm.be    # XLTx86 HAloop
- *   $ ./build/examples/quickstart --config=vm.dual  # HAloop + BBB
+ *   $ ./build/examples/quickstart --config=tmpl      # template BBT
+ *   $ ./build/examples/quickstart --config=vm.fe     # x86-mode + BBB
+ *   $ ./build/examples/quickstart --config=vm.be     # XLTx86 HAloop
+ *   $ ./build/examples/quickstart --config=tmpl+bbb+async2
  *
  * With the observability flags the run also exports the VM-wide stats
  * registry and a Chrome-trace timeline of the emulation phases:
@@ -57,32 +57,6 @@ void
 onStopSignal(int)
 {
     g_stop = 1;
-}
-
-/** Timing-machine preset matching an engine configuration. */
-timing::MachineConfig
-machineFor(const std::string &name, bool warm_start)
-{
-    timing::MachineConfig m = timing::MachineConfig::vmSoft();
-    if (name == "vm.fe")
-        m = timing::MachineConfig::vmFe();
-    else if (name == "vm.be" || name == "vm.dual")
-        m = timing::MachineConfig::vmBe();
-    else if (name == "vm.be.async")
-        m = timing::MachineConfig::vmBeAsync();
-    else if (name == "vm.soft.async")
-        m = timing::MachineConfig::vmSoftAsync();
-    else if (name == "vm.soft.tmpl" || name == "vm.be.tmpl")
-        m = timing::MachineConfig::vmSoftTmpl();
-    else if (name == "vm.interp")
-        m = timing::MachineConfig::vmInterp();
-    // --load-cache also warm-starts the timing model: translations are
-    // installed from the image before the first instruction.
-    if (warm_start) {
-        m.warmStart = true;
-        m.name += ".warm";
-    }
-    return m;
 }
 
 /**
@@ -208,9 +182,9 @@ main(int argc, char **argv)
             "reference interpreter, then a startup-transient timing "
             "simulation; optionally export stats and a phase trace.");
     cli.flag("config", "vm.soft",
-             "engine configuration: vm.soft|vm.fe|vm.be|vm.dual|"
-             "vm.interp|vm.soft.tmpl|vm.be.tmpl|vm.soft.async|"
-             "vm.be.async");
+             "engine spec: <cold|alias>[+bbb][+async<N>], cold one of "
+             "interp|x86|soft|xlt|tmpl, alias one of vm.soft|vm.fe|"
+             "vm.be|vm.dual|vm.interp");
     cli.flag("load-cache", "",
              "warm start: map a translation image saved by a "
              "previous run (stale records fall back to cold)");
@@ -248,20 +222,18 @@ main(int argc, char **argv)
     cli.parse(argc, argv);
     applyObservabilityFlags(cli);
 
-    const std::string cfg_name = cli.str("config");
-    std::optional<vmm::VmmConfig> named =
-        engine::EngineConfig::byName(cfg_name);
-    if (!named) {
-        std::fprintf(stderr, "unknown --config '%s'; known:",
-                     cfg_name.c_str());
-        for (const std::string &n : engine::EngineConfig::names())
-            std::fprintf(stderr, " %s", n.c_str());
-        std::fprintf(stderr, "\n");
+    const std::string spec = cli.str("config");
+    vmm::VmmConfig named;
+    if (engine::SpecError err = engine::EngineConfig::parse(spec, named);
+        err != engine::SpecError::None) {
+        std::fprintf(stderr, "bad --config '%s': %s\nspec grammar: %s\n",
+                     spec.c_str(), engine::specErrorName(err),
+                     engine::specGrammar().c_str());
         return 1;
     }
 
     if (cli.num("contexts") > 1)
-        return runFleet(cli, *named);
+        return runFleet(cli, named);
 
     // A tiny program: sum = sum(i*i for i in 1..100), looped enough
     // times that the VM's hotspot optimizer kicks in.
@@ -306,7 +278,7 @@ main(int argc, char **argv)
     vm_cpu.eip = 0x00400000;
     vm_cpu.regs[ESP] = 0x7fff0000;
 
-    vmm::VmmConfig cfg = *named;
+    vmm::VmmConfig cfg = named;
     // Small demo: detect hotspots quickly (both detector kinds).
     cfg.hotThreshold = 50;
     cfg.interpHotThreshold = 50;
@@ -481,9 +453,12 @@ main(int argc, char **argv)
     // milestone ladder) and traces the cycle-timebase phases on
     // track 1.
     workload::AppProfile app = workload::winstoneAverage(2'000'000);
+    // --load-cache and --connect-image also warm-start the timing
+    // model: translations are installed before the first instruction.
     timing::StartupSim sim(
-        machineFor(cfg.name, !cfg.warmStartLoadPath.empty() ||
-                                 (img_client && img_client->acquire())),
+        timing::MachineConfig::of(
+            cfg, !cfg.warmStartLoadPath.empty() ||
+                     (img_client && img_client->acquire())),
         app);
     timing::StartupResult sr = sim.run();
     timing::StartupSim ref_sim(timing::MachineConfig::refSuperscalar(),

@@ -11,23 +11,24 @@
  *               translated hotspot instruction.
  *
  * The numeric constants themselves live in engine/params.hh (with
- * their paper citations); this header shapes them into the per-machine
- * cost models the analytical model (Eq. 1 / Eq. 2), the translators'
- * accounting and the startup timing simulator consume. The HAloop
- * micro-benchmark cross-checks the 20-cycle VM.be figure against an
- * actual micro-op-level execution of the loop.
+ * their paper citations). TranslationCosts defaults to the
+ * software-only translators; the Delta_BBT of every other cold tier
+ * comes from that tier's row in the engine's cold-tier table
+ * (engine::coldTier), which timing::MachineConfig::of copies in. The
+ * HAloop micro-benchmark cross-checks the 20-cycle VM.be figure
+ * against an actual micro-op-level execution of the loop.
  */
 
 #ifndef CDVM_DBT_COSTS_HH
 #define CDVM_DBT_COSTS_HH
 
-#include "common/types.hh"
 #include "engine/params.hh"
 
 namespace cdvm::dbt
 {
 
-/** Per-x86-instruction translation costs for one VM configuration. */
+/** Per-x86-instruction translation costs for one VM configuration;
+ *  the defaults are the software-only translators (VM.soft). */
 struct TranslationCosts
 {
     /** BBT: native instructions executed per x86 instruction. */
@@ -38,77 +39,6 @@ struct TranslationCosts
     double sbtNativePerInsn = engine::params::SBT_NATIVE_PER_INSN;
     /** SBT: cycles per translated x86 instruction. */
     double sbtCyclesPerInsn = engine::params::SBT_CYCLES_PER_INSN;
-
-    /** Software-only translators (VM.soft). */
-    static TranslationCosts
-    software()
-    {
-        return TranslationCosts{};
-    }
-
-    /**
-     * IR-less template cold tier (VM.soft.tmpl): the software XLTx86.
-     * Delta_BBT shrinks by the measured template/software translation
-     * ratio (bench_host_mips, gated in CI); everything else is
-     * VM.soft.
-     */
-    static TranslationCosts
-    templateTier()
-    {
-        TranslationCosts c;
-        c.bbtNativePerInsn = engine::params::BBT_TMPL_NATIVE_PER_INSN;
-        c.bbtCyclesPerInsn = engine::params::BBT_TMPL_XLATE;
-        return c;
-    }
-
-    /** XLTx86 backend-assisted BBT (VM.be). */
-    static TranslationCosts
-    backendAssist()
-    {
-        TranslationCosts c;
-        // HAloop micro-ops / cycles per x86 insn (Section 5.3).
-        c.bbtNativePerInsn = engine::params::BBT_ASSIST_NATIVE_PER_INSN;
-        c.bbtCyclesPerInsn = engine::params::BBT_ASSIST_CYCLES_PER_INSN;
-        return c;
-    }
-
-    /**
-     * Dual-mode frontend decoders (VM.fe): no BBT at all; cold code
-     * executes directly in x86 mode.
-     */
-    static TranslationCosts
-    frontendAssist()
-    {
-        TranslationCosts c;
-        c.bbtNativePerInsn = 0.0;
-        c.bbtCyclesPerInsn = 0.0;
-        return c;
-    }
-
-    /**
-     * Interpreter-based initial emulation (the "Interp & SBT" curve of
-     * Fig. 2): no per-block translation cost, but 10x-100x slower
-     * emulation, modelled by the interpreterCpi in the machine config.
-     */
-    static TranslationCosts
-    interpreter()
-    {
-        TranslationCosts c;
-        c.bbtNativePerInsn = 0.0;
-        c.bbtCyclesPerInsn = 0.0;
-        return c;
-    }
-};
-
-/** Paper Section 3.2 model constants, in x86-instruction units. */
-struct ModelConstants
-{
-    /** Measured Delta_SBT (x86 instructions). */
-    double deltaSbtX86 = engine::params::SBT_DELTA_X86;
-    /** p: SBT code speedup over BBT code. */
-    double sbtSpeedupP = engine::params::SBT_SPEEDUP_P;
-    /** N = Delta_SBT / (p - 1), rounded. */
-    u64 hotThreshold = engine::params::HOT_THRESHOLD;
 };
 
 } // namespace cdvm::dbt

@@ -60,8 +60,8 @@ class SoftwareBbtBackend : public TranslationBackend
 };
 
 /**
- * The IR-less template BBT (VM.soft.tmpl / VM.be.tmpl cold path): a
- * software XLTx86. Decoded instruction forms are mapped straight to
+ * The IR-less template BBT (the `tmpl` cold tier): a software
+ * XLTx86. Decoded instruction forms are mapped straight to
  * pre-baked micro-op templates specialized by value substitution; no
  * cracker runs on the translation path. Blocks containing a form with
  * no learned rule fall back per-block to the software BBT, keeping

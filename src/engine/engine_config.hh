@@ -2,25 +2,36 @@
  * @file
  * Engine configuration and statistics.
  *
- * An EngineConfig names one point in the staged-emulation design
- * space: which ColdExecutor runs untranslated code, which
- * HotspotDetector decides when a region is hot, and the SBT/cache
- * parameters shared by all of them. The named factories compose the
- * paper's configurations:
+ * An EngineConfig is one point of the staged-emulation design space,
+ * composed from three axes: the ColdExecutor that runs untranslated
+ * code (ColdKind), the HotspotDetector (DetectorKind) and the number
+ * of background SBT contexts (asyncTranslators). EngineConfig::parse()
+ * builds a point from a spec
  *
- *   vm.soft  software BBT cold path  + software exec counters
- *   vm.fe    hardware x86-mode cold  + branch behavior buffer
- *   vm.be    XLTx86-assisted BBT     + software exec counters
- *   vm.dual  XLTx86-assisted BBT     + branch behavior buffer
- *   vm.interp  interpretation        + software entry counters
+ *   <cold|alias>[+bbb][+async<N>]   cold: interp | x86 | soft | xlt | tmpl
+ *
+ * where +bbb swaps software counters for the branch behavior buffer.
+ * The paper's machines are aliases and may take modifiers
+ * ("vm.be+async2"):
+ *
+ *   vm.soft   = soft     software BBT        + software exec counters
+ *   vm.fe     = x86+bbb  hardware x86 mode   + branch behavior buffer
+ *   vm.be     = xlt      XLTx86-assisted BBT + software exec counters
+ *   vm.dual   = xlt+bbb  XLTx86-assisted BBT + branch behavior buffer
+ *   vm.interp = interp   interpretation      + software entry counters
+ *
+ * Warm start is a deployment setting, not a spec token
+ * (warmStartLoadPath, SharedServices::imageEndpoint). Each cold tier's
+ * row in coldTiers() also prices it for the timing model
+ * (timing::MachineConfig::of) and the fleet (fleet::WorkWeights).
  */
 
 #ifndef CDVM_ENGINE_ENGINE_CONFIG_HH
 #define CDVM_ENGINE_ENGINE_CONFIG_HH
 
-#include <optional>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "dbt/superblock.hh"
 #include "engine/params.hh"
@@ -40,6 +51,40 @@ enum class ColdKind : u8
     TemplateBbt,     //!< IR-less template BBT, a software XLTx86
 };
 
+/** How cold (untranslated) code is emulated, as the timing model
+ *  prices it. */
+enum class ColdMode : u8
+{
+    Native,     //!< Ref: x86 executes directly, always
+    Interpret,  //!< software interpretation
+    BbtCode,    //!< execute BBT-translated code
+    X86Direct,  //!< VM.fe dual-mode execution of x86 code
+};
+
+/**
+ * One row of the cold-tier table: the spec token of a ColdKind and
+ * everything the timing model and the fleet's cycle pricing need from
+ * that tier. Every value comes from engine/params.hh.
+ */
+struct ColdTier
+{
+    ColdKind kind;
+    const char *token;       //!< spec token ("soft", "xlt", ...)
+    ColdMode mode;
+    double bbtNativePerInsn; //!< Delta_BBT, native insns (0: no BBT)
+    double bbtCyclesPerInsn; //!< Delta_BBT, cycles per x86 insn
+    double coldCpiFactor;    //!< CPI multiplier of cold code
+    bool frontendX86Decoders; //!< x86 decoders on in cold code (Fig. 11)
+    u64 hotThreshold;        //!< what the tier's profile is compared to
+    double xltBusyFraction;  //!< BBT time the XLTx86 logic is on
+};
+
+/** Every cold tier, in ColdKind order. */
+std::span<const ColdTier> coldTiers();
+
+/** The row of one cold tier. */
+const ColdTier &coldTier(ColdKind kind);
+
 /** Hotspot detection strategies. */
 enum class DetectorKind : u8
 {
@@ -47,10 +92,28 @@ enum class DetectorKind : u8
     Bbb,              //!< hardware branch behavior buffer (Section 4.1)
 };
 
+/** Why EngineConfig::parse() rejected a spec. */
+enum class SpecError
+{
+    None,
+    Empty,         //!< empty spec, or an empty '+'-separated token
+    UnknownToken,  //!< a token no axis knows ("vm.bogus")
+    NoCold,        //!< no cold tier or alias ("bbb+async2")
+    ColdTwice,     //!< two cold tiers or aliases ("soft+tmpl")
+    DetectorTwice, //!< bbb twice, or on an alias that has it
+    AsyncTwice,    //!< two async tokens
+    BadAsyncCount, //!< async, async0, async02, asyncX, or N > 64
+};
+
+const char *specErrorName(SpecError e);
+
+/** The spec grammar, its cold tokens and its aliases, for help text. */
+std::string specGrammar();
+
 /** One composed staged-emulation configuration. */
 struct EngineConfig
 {
-    /** Display name ("vm.soft", ... or "custom"). */
+    /** Display name: the alias or canonical spec, or "custom". */
     std::string name = "custom";
 
     ColdKind cold = ColdKind::SoftwareBbt;
@@ -182,27 +245,24 @@ struct EngineConfig
      */
     u64 snapshotEveryInsns = 0;
 
-    // --- named configurations ---------------------------------------
+    // --- composition ----------------------------------------------
+    /**
+     * Parse a spec (see the file comment) into `out`: cold tier,
+     * detector and asyncTranslators set, every other field default.
+     * `out.name` is the spec when it is an alias, otherwise the
+     * canonical <cold>[+bbb][+async<N>] spelling. On error `out` is
+     * untouched.
+     */
+    static SpecError parse(std::string_view spec, EngineConfig &out);
+    /** parse() for a spec known to be valid; panics otherwise. */
+    static EngineConfig fromSpec(std::string_view spec);
+
+    // The paper's machines (fromSpec of their alias).
     static EngineConfig vmSoft();
     static EngineConfig vmFe();
     static EngineConfig vmBe();
     static EngineConfig vmDual();
     static EngineConfig vmInterp();
-    /** VM.soft with the IR-less template cold tier. */
-    static EngineConfig vmSoftTmpl();
-    /** Template cold tier paired with the BBB detector (the closest
-     *  software stand-in for the paper's VM.be pairing). */
-    static EngineConfig vmBeTmpl();
-    /** vm.soft with N background SBT contexts (vm.soft.async). */
-    static EngineConfig vmSoftAsync(unsigned contexts = 2);
-    /** vm.be with N background SBT contexts (vm.be.async). */
-    static EngineConfig vmBeAsync(unsigned contexts = 2);
-
-    /** Look up a named configuration ("vm.soft", "vm.be", ...). */
-    static std::optional<EngineConfig> byName(const std::string &name);
-
-    /** All recognised configuration names. */
-    static std::vector<std::string> names();
 };
 
 /** Aggregate engine statistics. */

@@ -4,8 +4,8 @@
  *
  * Every layer that needs a number from Hu & Smith, "Reducing Startup
  * Time in Co-Designed Virtual Machines" (ISCA 2006) draws it from
- * here: the translation cost model (dbt/costs.hh), the timing-machine
- * presets (timing/machine_config.cc), the analytical model
+ * here: the translation cost model (dbt/costs.hh), the cold-tier
+ * table (engine/engine_config.cc), the analytical model
  * (analysis/model.hh) and the benches. Each constant cites the paper
  * section it was measured or derived in.
  */

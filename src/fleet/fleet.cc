@@ -72,8 +72,9 @@ WorkWeights
 WorkWeights::forConfig(const engine::EngineConfig &cfg)
 {
     WorkWeights w;
-    if (cfg.cold == engine::ColdKind::XltAssistedBbt)
-        w.bbtTranslate = engine::params::BBT_ASSIST_CYCLES_PER_INSN;
+    const engine::ColdTier &t = engine::coldTier(cfg.cold);
+    if (t.bbtCyclesPerInsn > 0.0)
+        w.bbtTranslate = t.bbtCyclesPerInsn;
     return w;
 }
 

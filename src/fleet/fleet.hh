@@ -68,8 +68,8 @@ engine::EngineConfig tenantEngineConfig(engine::EngineConfig base);
 /**
  * Per-instruction cycle weights the fleet clock charges for each
  * stage, drawn from the paper's measured constants. forConfig()
- * swaps in the XLTx86-assisted BBT cost when the config's cold path
- * uses the hardware assist.
+ * prices BBT translation at the Delta_BBT of the config's cold tier
+ * (engine::coldTier), the same figure the timing model charges.
  */
 struct WorkWeights
 {

@@ -1,155 +1,50 @@
 #include "timing/machine_config.hh"
 
-#include "engine/params.hh"
-
 namespace cdvm::timing
 {
 
-namespace
+MachineConfig
+MachineConfig::of(const engine::EngineConfig &cfg, bool warm)
 {
-
-/**
- * BBT-generated code runs at 82-85% of SBT-code IPC, which is "only
- * slightly less than the baseline superscalar" (Section 5.3) -- the
- * SBT code's microarchitectural IPC capability (~18% over a plain
- * superscalar before cache dilution) puts 0.84x of it at roughly the
- * reference's level. Relative to SBT code at the aggregate level we
- * model BBT code 10% slower (i.e. ~2% below the reference).
- */
-constexpr double BBT_VS_SBT_CPI = engine::params::BBT_VS_SBT_CPI;
-
-/** Interpretation is 10x-100x slower than native (Section 1.1). */
-constexpr double INTERP_SLOWDOWN = engine::params::INTERP_SLOWDOWN;
-
-} // namespace
+    const engine::ColdTier &t = engine::coldTier(cfg.cold);
+    MachineConfig m;
+    m.name = cfg.name.starts_with("vm.") ? "VM." + cfg.name.substr(3)
+                                         : cfg.name;
+    if (warm)
+        m.name += ".warm";
+    m.cold = t.mode;
+    m.hasSbt = cfg.enableSbt;
+    m.costs.bbtNativePerInsn = t.bbtNativePerInsn;
+    m.costs.bbtCyclesPerInsn = t.bbtCyclesPerInsn;
+    m.hotThreshold = t.hotThreshold;
+    m.coldCpiFactor = t.coldCpiFactor;
+    m.frontendX86Decoders = t.frontendX86Decoders;
+    m.xltBusyFraction = t.xltBusyFraction;
+    m.asyncTranslators = cfg.asyncTranslators;
+    m.warmStart = warm;
+    return m;
+}
 
 MachineConfig
 MachineConfig::refSuperscalar()
 {
     MachineConfig m;
     m.name = "Ref: superscalar";
-    m.kind = MachineKind::RefSuperscalar;
     m.cold = ColdMode::Native;
     m.hasSbt = false;
-    m.costs = dbt::TranslationCosts::frontendAssist(); // no translation
+    m.costs.bbtNativePerInsn = 0.0; // no translation
+    m.costs.bbtCyclesPerInsn = 0.0;
     m.coldCpiFactor = 1.0;
     m.frontendX86Decoders = true; // always-on hardware x86 decoders
-    return m;
-}
-
-MachineConfig
-MachineConfig::vmSoft()
-{
-    MachineConfig m;
-    m.name = "VM.soft";
-    m.kind = MachineKind::VmSoft;
-    m.cold = ColdMode::BbtCode;
-    m.hasSbt = true;
-    m.costs = dbt::TranslationCosts::software();
-    m.coldCpiFactor = BBT_VS_SBT_CPI;
-    m.frontendX86Decoders = false; // no hardware x86 decode at all
-    return m;
-}
-
-MachineConfig
-MachineConfig::vmSoftTmpl()
-{
-    MachineConfig m = vmSoft();
-    m.name = "VM.soft.tmpl";
-    // Same machine, cheaper Delta_BBT: translation maps decoded forms
-    // straight to templates instead of lowering through the uop IR.
-    m.costs = dbt::TranslationCosts::templateTier();
-    return m;
-}
-
-MachineConfig
-MachineConfig::vmBe()
-{
-    MachineConfig m;
-    m.name = "VM.be";
-    m.kind = MachineKind::VmBe;
-    m.cold = ColdMode::BbtCode;
-    m.hasSbt = true;
-    m.costs = dbt::TranslationCosts::backendAssist();
-    m.coldCpiFactor = BBT_VS_SBT_CPI;
-    // One XLTx86 decoder, active only while the HAloop runs.
-    m.frontendX86Decoders = false;
-    return m;
-}
-
-MachineConfig
-MachineConfig::vmFe()
-{
-    MachineConfig m;
-    m.name = "VM.fe";
-    m.kind = MachineKind::VmFe;
-    m.cold = ColdMode::X86Direct;
-    m.hasSbt = true;
-    m.costs = dbt::TranslationCosts::frontendAssist();
-    // Dual-mode execution of cold x86 code behaves like the reference
-    // superscalar (Section 5.2).
-    m.coldCpiFactor = 1.0;
-    m.frontendX86Decoders = true; // on while not in hotspot code
-    return m;
-}
-
-MachineConfig
-MachineConfig::vmInterp()
-{
-    MachineConfig m;
-    m.name = "VM: Interp & SBT";
-    m.kind = MachineKind::VmInterp;
-    m.cold = ColdMode::Interpret;
-    m.hasSbt = true;
-    m.costs = dbt::TranslationCosts::interpreter();
-    m.coldCpiFactor = INTERP_SLOWDOWN;
-    // Interpretation threshold: N = Delta_SBT / (p-1) with the much
-    // larger interpretation slowdown folded in -- the paper derives 25.
-    m.hotThreshold = engine::params::INTERP_HOT_THRESHOLD;
-    m.frontendX86Decoders = false;
-    return m;
-}
-
-MachineConfig
-MachineConfig::vmSoftAsync(unsigned contexts)
-{
-    MachineConfig m = vmSoft();
-    m.name = "VM.soft.async";
-    m.asyncTranslators = contexts;
-    return m;
-}
-
-MachineConfig
-MachineConfig::vmBeAsync(unsigned contexts)
-{
-    MachineConfig m = vmBe();
-    m.name = "VM.be.async";
-    m.asyncTranslators = contexts;
-    return m;
-}
-
-MachineConfig
-MachineConfig::vmSoftWarm()
-{
-    MachineConfig m = vmSoft();
-    m.name = "VM.soft.warm";
-    m.warmStart = true;
-    return m;
-}
-
-MachineConfig
-MachineConfig::vmBeWarm()
-{
-    MachineConfig m = vmBe();
-    m.name = "VM.be.warm";
-    m.warmStart = true;
     return m;
 }
 
 std::vector<MachineConfig>
 MachineConfig::table2()
 {
-    return {refSuperscalar(), vmSoft(), vmBe(), vmFe()};
+    return {refSuperscalar(), of(engine::EngineConfig::vmSoft(), false),
+            of(engine::EngineConfig::vmBe(), false),
+            of(engine::EngineConfig::vmFe(), false)};
 }
 
 } // namespace cdvm::timing

@@ -2,15 +2,14 @@
  * @file
  * Machine configurations (paper Table 2).
  *
- * Four primary machines, plus the interpreter-based VM of Fig. 2:
- *
- *   Ref: superscalar -- conventional x86 processor. Hardware x86
- *        decoders, no dynamic optimization.
- *   VM.soft -- co-designed VM, software-only BBT and SBT.
- *   VM.be   -- co-designed VM, BBT assisted by the backend XLTx86
- *              functional unit.
- *   VM.fe   -- co-designed VM, dual-mode frontend decoders (no BBT).
- *   VM.interp -- staged interpretation + SBT (Fig. 2 only).
+ * A VM machine is MachineConfig::of() an engine configuration: its
+ * cold tier's row (engine::coldTiers()) sets the cold mode, Delta_BBT,
+ * cold CPI, decoder activity, hot threshold and XLTx86 busy share,
+ * and the config adds its SBT contexts. Table 2's VM.soft, VM.be and
+ * VM.fe, and Fig. 2's interpreter VM, are of(vm.soft), of(vm.be),
+ * of(vm.fe) and of(vm.interp). The reference superscalar (hardware
+ * x86 decoders, no dynamic optimization) is not a VM point and has
+ * its own preset.
  *
  * All machines share the Table 2 pipeline resources and memory
  * hierarchy; they differ in how cold and hot x86 code is emulated and
@@ -21,31 +20,16 @@
 #define CDVM_TIMING_MACHINE_CONFIG_HH
 
 #include <string>
+#include <vector>
 
 #include "dbt/costs.hh"
+#include "engine/engine_config.hh"
 #include "memsys/hierarchy.hh"
 
 namespace cdvm::timing
 {
 
-/** Machine flavours. */
-enum class MachineKind : u8
-{
-    RefSuperscalar,
-    VmSoft,
-    VmBe,
-    VmFe,
-    VmInterp,
-};
-
-/** How cold (untranslated) code is emulated. */
-enum class ColdMode : u8
-{
-    Native,     //!< Ref: x86 executes directly, always
-    Interpret,  //!< software interpretation
-    BbtCode,    //!< execute BBT-translated code
-    X86Direct,  //!< VM.fe dual-mode execution of x86 code
-};
+using engine::ColdMode;
 
 /** Table 2 pipeline resources (shared by all machines). */
 struct PipelineParams
@@ -64,7 +48,6 @@ struct PipelineParams
 struct MachineConfig
 {
     std::string name;
-    MachineKind kind = MachineKind::RefSuperscalar;
     ColdMode cold = ColdMode::Native;
     bool hasSbt = false;           //!< hotspot optimization stage
     dbt::TranslationCosts costs;   //!< translation cycle costs
@@ -131,6 +114,10 @@ struct MachineConfig
      */
     bool frontendX86Decoders = false;
 
+    /** Share of BBT translation time the XLTx86 decode logic is on
+     *  (Fig. 11 decoder activity; VM.be only). */
+    double xltBusyFraction = 0.0;
+
     /**
      * Background SBT translation contexts. 0 = the paper's synchronous
      * model (Delta_SBT charged on the emulation thread the instant a
@@ -176,23 +163,17 @@ struct MachineConfig
      */
     double warmStreamOverlap = 0.85;
 
-    // --- presets --------------------------------------------------------
+    // --- construction ---------------------------------------------
+    /**
+     * The machine an engine configuration runs on: its cold tier's
+     * row, SBT on when the config enables it, and its async SBT
+     * contexts. `warm` boots it from a translation image. The name is
+     * the config's, with a "vm." prefix spelled "VM." and ".warm"
+     * appended for a warm boot ("VM.soft", "tmpl+bbb.warm").
+     */
+    static MachineConfig of(const engine::EngineConfig &cfg, bool warm);
+    /** The conventional superscalar every VM is compared against. */
     static MachineConfig refSuperscalar();
-    static MachineConfig vmSoft();
-    /** VM.soft with the IR-less template cold tier (software XLTx86):
-     *  Delta_BBT scaled by the measured template/software ratio. */
-    static MachineConfig vmSoftTmpl();
-    static MachineConfig vmBe();
-    static MachineConfig vmFe();
-    static MachineConfig vmInterp();
-    /** VM.soft with N background SBT contexts. */
-    static MachineConfig vmSoftAsync(unsigned contexts = 2);
-    /** VM.be with N background SBT contexts. */
-    static MachineConfig vmBeAsync(unsigned contexts = 2);
-    /** VM.soft warm-started from a translation image. */
-    static MachineConfig vmSoftWarm();
-    /** VM.be warm-started from a translation image. */
-    static MachineConfig vmBeWarm();
 
     /** All four Table 2 machines in paper order. */
     static std::vector<MachineConfig> table2();

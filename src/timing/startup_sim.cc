@@ -50,13 +50,12 @@ class CycleModelSink : public engine::StageSink
 {
   public:
     CycleModelSink(const MachineConfig &machine, StartupResult &result,
-                   double cpi_cold, double cpi_bbt, double cpi_sbt,
-                   double xlt_busy)
+                   double cpi_cold, double cpi_bbt, double cpi_sbt)
         : m(machine), res(result), hier(m.memory),
           l1iLat(m.memory.l1i.latency), l1dLat(m.memory.l1d.latency),
           line(m.memory.l1i.lineBytes), memLat(m.memory.memLatency),
           cpiCold(cpi_cold), cpiBbt(cpi_bbt), cpiSbt(cpi_sbt),
-          xltBusyFrac(xlt_busy), tracing(Tracer::global().enabled()),
+          tracing(Tracer::global().enabled()),
           spans(Tracer::global(), 1)
     {
     }
@@ -75,7 +74,7 @@ class CycleModelSink : public engine::StageSink
             add(CycleCat::BbtXlate, tcyc, false);
             // The XLTx86 unit keeps decode logic on for part of the
             // (much shorter) assisted translation time.
-            decodeActive += tcyc * xltBusyFrac;
+            decodeActive += tcyc * m.xltBusyFraction;
             break;
           }
           case TracePhase::Dispatch:
@@ -178,7 +177,7 @@ class CycleModelSink : public engine::StageSink
         double exec_cyc = cpi * static_cast<double>(e.insns);
         // The reference superscalar's decoders are always on, even in
         // hot code (it has no other mode).
-        if (m.kind == MachineKind::RefSuperscalar)
+        if (m.cold == ColdMode::Native)
             decode_on = true;
         double fpen = fetchPenalty(fetch_addr, fetch_bytes);
         if (translated)
@@ -239,7 +238,6 @@ class CycleModelSink : public engine::StageSink
     const double cpiCold;
     const double cpiBbt;
     const double cpiSbt;
-    const double xltBusyFrac;
 
     double cycles = 0.0;
     u64 insns = 0;
@@ -297,20 +295,12 @@ StartupSim::run()
         break;
     }
 
-    // XLTx86 busy fraction of BBT translation time (VM.be): 4 of the
-    // ~20 cycles per instruction keep the decode logic on.
-    const double xlt_busy_frac =
-        m.kind == MachineKind::VmBe && m.costs.bbtCyclesPerInsn > 0
-            ? 4.0 / m.costs.bbtCyclesPerInsn
-            : 0.0;
-
     // One staging state machine (the engine's), two consumers: the
     // StageCounter tallies the functional instruction mix, the cycle
     // model prices every event against this machine.
     engine::EventStream events;
     engine::StageCounter counts;
-    CycleModelSink cyc(m, res, cpi_cold, cpi_bbt, cpi_sbt,
-                       xlt_busy_frac);
+    CycleModelSink cyc(m, res, cpi_cold, cpi_bbt, cpi_sbt);
     events.attach(&counts);
     events.attach(&cyc);
     for (engine::StageSink *s : extraSinks)

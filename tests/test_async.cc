@@ -124,7 +124,8 @@ TEST(ThreadPool, DestructorDrainsPendingWork)
 vmm::VmmConfig
 asyncCfg(bool deterministic, unsigned contexts = 2)
 {
-    vmm::VmmConfig c = engine::EngineConfig::vmSoftAsync(contexts);
+    vmm::VmmConfig c = engine::EngineConfig::fromSpec(
+        "soft+async" + std::to_string(contexts));
     c.hotThreshold = 30;
     c.asyncDeterministic = deterministic;
     return c;
@@ -317,11 +318,11 @@ TEST(AsyncStress, SeedSweepAllAsyncConfigs)
     };
     const Case cases[] = {
         {"vm.soft", syncCfg()},
-        {"vm.soft.async", asyncCfg(false)},
-        {"vm.soft.async det", asyncCfg(true)},
-        {"vm.be.async",
+        {"soft+async2", asyncCfg(false)},
+        {"soft+async2 det", asyncCfg(true)},
+        {"xlt+async2",
          [] {
-             vmm::VmmConfig c = engine::EngineConfig::vmBeAsync();
+             vmm::VmmConfig c = engine::EngineConfig::fromSpec("xlt+async2");
              c.hotThreshold = 30;
              return c;
          }()},

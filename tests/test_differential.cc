@@ -2,13 +2,14 @@
  * @file
  * The centerpiece property suite: differential execution.
  *
- * For randomly generated programs, every emulation strategy of the
- * co-designed VM -- pure interpretation, BBT-only, staged BBT+SBT,
- * interpreter+SBT, and x86-mode (VM.fe) with hardware hotspot
- * detection -- must produce exactly the same architected x86 state and
- * the same data memory image as the reference interpreter. So must
- * warm boots that install a primed run's image through an image
- * endpoint before the first instruction.
+ * For randomly generated programs, every point of the engine's
+ * cold-tier table -- each cold tier (interpretation, x86 mode,
+ * software, XLTx86-assisted and template BBT) with either hotspot
+ * detector, synchronous or with async SBT -- plus BBT-only and
+ * deterministic async must produce exactly the same architected x86
+ * state and the same data memory image as the reference interpreter,
+ * both from a cold boot and from a warm boot that installs a primed
+ * run's image through an image endpoint before the first instruction.
  */
 
 #include <gtest/gtest.h>
@@ -26,85 +27,41 @@ using test::runVmm;
 
 using test::sameOutcome;
 
+/**
+ * A spec's config with hot thresholds low enough that SBT really
+ * triggers on these small programs: software counters and the BBB at
+ * 30, interpretation at 10.
+ */
 vmm::VmmConfig
-cfgSoft()
+cfg(const std::string &spec)
 {
-    vmm::VmmConfig c = engine::EngineConfig::vmSoft();
-    c.hotThreshold = 30; // low threshold so SBT really triggers
-    return c;
-}
-
-vmm::VmmConfig
-cfgSoftTmpl()
-{
-    vmm::VmmConfig c = engine::EngineConfig::vmSoftTmpl();
+    vmm::VmmConfig c = engine::EngineConfig::fromSpec(spec);
     c.hotThreshold = 30;
-    return c;
-}
-
-vmm::VmmConfig
-cfgBeTmpl()
-{
-    vmm::VmmConfig c = engine::EngineConfig::vmBeTmpl();
-    c.hotThreshold = 30;
-    return c;
-}
-
-vmm::VmmConfig
-cfgBbtOnly()
-{
-    vmm::VmmConfig c = engine::EngineConfig::vmSoft();
-    c.enableSbt = false;
-    return c;
-}
-
-vmm::VmmConfig
-cfgInterpSbt()
-{
-    vmm::VmmConfig c = engine::EngineConfig::vmInterp();
+    c.bbbParams.hotThreshold = 30;
     c.interpHotThreshold = 10;
     return c;
 }
 
-vmm::VmmConfig
-cfgFrontend()
+/** Every cold x detector x async{0,2} point of the cold-tier table,
+ *  plus BBT-only and deterministic async. */
+std::vector<vmm::VmmConfig>
+allConfigs()
 {
-    vmm::VmmConfig c = engine::EngineConfig::vmFe();
-    c.bbbParams.hotThreshold = 30;
-    return c;
-}
+    std::vector<vmm::VmmConfig> out;
+    for (const engine::ColdTier &t : engine::coldTiers())
+        for (const char *detector : {"", "+bbb"})
+            for (const char *async : {"", "+async2"})
+                out.push_back(cfg(t.token + std::string(detector) + async));
 
-vmm::VmmConfig
-cfgBackend()
-{
-    vmm::VmmConfig c = engine::EngineConfig::vmBe();
-    c.hotThreshold = 30;
-    return c;
-}
-
-vmm::VmmConfig
-cfgDual()
-{
-    vmm::VmmConfig c = engine::EngineConfig::vmDual();
-    c.bbbParams.hotThreshold = 30;
-    return c;
-}
-
-vmm::VmmConfig
-cfgSoftAsync(bool deterministic)
-{
-    vmm::VmmConfig c = engine::EngineConfig::vmSoftAsync();
-    c.hotThreshold = 30;
-    c.asyncDeterministic = deterministic;
-    return c;
-}
-
-vmm::VmmConfig
-cfgBackendAsync()
-{
-    vmm::VmmConfig c = engine::EngineConfig::vmBeAsync();
-    c.hotThreshold = 30;
-    return c;
+    vmm::VmmConfig bbt_only = cfg("vm.soft");
+    bbt_only.enableSbt = false;
+    bbt_only.name += " (BBT only)";
+    out.push_back(bbt_only);
+    vmm::VmmConfig det = cfg("soft+async2");
+    det.asyncDeterministic = true;
+    det.name += " (deterministic)";
+    out.push_back(det);
+    return out;
 }
 
 class DifferentialTest : public ::testing::TestWithParam<u64>
@@ -125,41 +82,14 @@ TEST_P(DifferentialTest, AllStrategiesMatchInterpreter)
               static_cast<int>(x86::Exit::Halted))
         << "reference run did not halt";
 
-    struct Case
-    {
-        const char *name;
-        vmm::VmmConfig cfg;
-    };
-    const Case cases[] = {
-        {"vm.soft (BBT+SBT)", cfgSoft()},
-        {"vm.soft.tmpl (template BBT+SBT)", cfgSoftTmpl()},
-        {"vm.be.tmpl (template BBT+BBB)", cfgBeTmpl()},
-        {"BBT only", cfgBbtOnly()},
-        {"interp+SBT", cfgInterpSbt()},
-        {"vm.fe (x86-mode+BBB)", cfgFrontend()},
-        {"vm.be (XLT-assisted BBT)", cfgBackend()},
-        {"vm.dual (XLT+BBB)", cfgDual()},
-        {"vm.soft.async", cfgSoftAsync(false)},
-        {"vm.soft.async deterministic", cfgSoftAsync(true)},
-        {"vm.be.async", cfgBackendAsync()},
-    };
-
-    for (const Case &c : cases) {
-        x86::Memory mem;
-        vmm::VmmStats stats;
-        RunResult got = runVmm(prog, mem, c.cfg, &stats);
-        EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, got, mem))
-            << c.name;
-    }
-
-    // Warm boots: prime vm.soft, build its image, and boot vm.soft
-    // and vm.be from it through an in-process image endpoint.
+    // Warm boots install a primed vm.soft run's image through an
+    // in-process image endpoint before the first instruction.
     dbt::ImageBuilder builder;
     {
         x86::Memory mem;
         prog.loadInto(mem);
         x86::CpuState cpu = prog.initialState();
-        vmm::Vmm vm(mem, cfgSoft());
+        vmm::Vmm vm(mem, cfg("vm.soft"));
         ASSERT_EQ(static_cast<int>(vm.run(cpu, 10'000'000)),
                   static_cast<int>(x86::Exit::Halted));
         builder.add(vm.captureWarmStart());
@@ -167,22 +97,27 @@ TEST_P(DifferentialTest, AllStrategiesMatchInterpreter)
     auto image = std::make_shared<dbt::TransImage>();
     ASSERT_EQ(dbt::TransImage::adopt(builder.build(), *image),
               dbt::LoadError::None);
-    engine::SharedServices svc;
-    svc.imageEndpoint = std::make_shared<dbt::ImageStore>(image);
+    engine::SharedServices warm;
+    warm.imageEndpoint = std::make_shared<dbt::ImageStore>(image);
 
-    const Case warm_cases[] = {
-        {"warm vm.soft (image endpoint)", cfgSoft()},
-        {"warm vm.be (image endpoint)", cfgBackend()},
-    };
-    for (const Case &c : warm_cases) {
-        x86::Memory mem;
-        vmm::VmmStats stats;
-        RunResult got =
-            runVmm(prog, mem, c.cfg, &stats, 10'000'000, svc);
-        EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, got, mem))
-            << c.name;
-        EXPECT_GT(stats.warmInstalled, 0u) << c.name;
-        EXPECT_EQ(stats.warmInvalidated, 0u) << c.name;
+    const std::vector<vmm::VmmConfig> configs = allConfigs();
+    ASSERT_EQ(configs.size(), 22u);
+    for (const vmm::VmmConfig &c : configs) {
+        for (const engine::SharedServices &svc :
+             {engine::SharedServices{}, warm}) {
+            const bool is_warm = svc.imageEndpoint != nullptr;
+            const std::string name = c.name + (is_warm ? " warm" : "");
+            x86::Memory mem;
+            vmm::VmmStats stats;
+            RunResult got =
+                runVmm(prog, mem, c, &stats, 10'000'000, svc);
+            EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, got, mem))
+                << name;
+            if (is_warm) {
+                EXPECT_GT(stats.warmInstalled, 0u) << name;
+                EXPECT_EQ(stats.warmInvalidated, 0u) << name;
+            }
+        }
     }
 }
 
@@ -207,7 +142,7 @@ TEST(DifferentialFeatures, FeatureKnobsStillMatch)
                   static_cast<int>(x86::Exit::Halted));
 
         x86::Memory mem;
-        RunResult got = runVmm(prog, mem, cfgSoft());
+        RunResult got = runVmm(prog, mem, cfg("vm.soft"));
         EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, got, mem))
             << "seed " << seed;
     }
@@ -222,7 +157,7 @@ TEST(DifferentialStats, SbtActuallyRunsAndFuses)
 
     x86::Memory mem;
     vmm::VmmStats stats;
-    runVmm(prog, mem, cfgSoft(), &stats);
+    runVmm(prog, mem, cfg("vm.soft"), &stats);
 
     EXPECT_GT(stats.bbtTranslations, 0u);
     EXPECT_GT(stats.sbtTranslations, 0u)
@@ -249,7 +184,7 @@ TEST(DifferentialStats, TinyCodeCacheStillCorrect)
               static_cast<int>(x86::Exit::Halted))
         << "reference run did not halt within budget";
 
-    vmm::VmmConfig c = cfgSoft();
+    vmm::VmmConfig c = cfg("vm.soft");
     c.bbtCacheBytes = 1024; // force flush/retranslate cycles
     c.sbtCacheBytes = 8192;
 
@@ -262,7 +197,7 @@ TEST(DifferentialStats, TinyCodeCacheStillCorrect)
         << "cache was big enough that flushing never happened";
 
     // The template tier must survive the same flush/retranslate storm.
-    vmm::VmmConfig ct = cfgSoftTmpl();
+    vmm::VmmConfig ct = cfg("tmpl");
     ct.bbtCacheBytes = 1024;
     ct.sbtCacheBytes = 8192;
     x86::Memory mem_t;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Engine-layer tests: named configurations, the code-cache manager's
+ * Engine-layer tests: spec parsing, the code-cache manager's
  * flush-on-full behaviour (chains reset, stale translations
  * unreachable, execution still correct), VM.be functional parity with
  * VM.soft, and the StagedPipeline event stream feeding two consumers.
@@ -25,15 +25,94 @@ namespace
 
 using namespace cdvm::x86;
 
-TEST(EngineConfig, ByNameRoundTrip)
+/** parse() that must succeed. */
+engine::EngineConfig
+parsed(const std::string &spec)
 {
-    for (const std::string &n : engine::EngineConfig::names()) {
-        std::optional<engine::EngineConfig> c =
-            engine::EngineConfig::byName(n);
-        ASSERT_TRUE(c.has_value()) << n;
-        EXPECT_EQ(c->name, n);
+    engine::EngineConfig c;
+    EXPECT_EQ(engine::EngineConfig::parse(spec, c), engine::SpecError::None)
+        << spec;
+    return c;
+}
+
+TEST(EngineConfig, AliasesRoundTripThroughParse)
+{
+    const std::pair<const char *, const char *> paper[] = {
+        {"vm.soft", "soft"}, {"vm.fe", "x86+bbb"}, {"vm.be", "xlt"},
+        {"vm.dual", "xlt+bbb"}, {"vm.interp", "interp"}};
+    for (const auto &[alias, spec] : paper) {
+        const engine::EngineConfig a = parsed(alias);
+        const engine::EngineConfig s = parsed(spec);
+        EXPECT_EQ(a.name, alias);
+        EXPECT_EQ(s.name, spec);
+        EXPECT_EQ(a.cold, s.cold) << alias;
+        EXPECT_EQ(a.detector, s.detector) << alias;
     }
-    EXPECT_FALSE(engine::EngineConfig::byName("vm.bogus").has_value());
+    // A modified alias is no longer the alias: it takes its canonical
+    // spelling.
+    const engine::EngineConfig be2 = parsed("vm.be+async2");
+    EXPECT_EQ(be2.name, "xlt+async2");
+    EXPECT_EQ(be2.cold, engine::ColdKind::XltAssistedBbt);
+    EXPECT_EQ(be2.asyncTranslators, 2u);
+}
+
+TEST(EngineConfig, EveryTableSpecRoundTripsThroughItsName)
+{
+    for (const engine::ColdTier &t : engine::coldTiers()) {
+        EXPECT_EQ(&engine::coldTier(t.kind), &t) << t.token;
+        for (const char *detector : {"", "+bbb"}) {
+            for (const char *async : {"", "+async2", "+async64"}) {
+                const std::string spec = t.token + std::string(detector) +
+                                         async;
+                const engine::EngineConfig c = parsed(spec);
+                EXPECT_EQ(c.name, spec);
+                EXPECT_EQ(c.cold, t.kind) << spec;
+                EXPECT_EQ(c.detector == engine::DetectorKind::Bbb,
+                          *detector != '\0')
+                    << spec;
+                EXPECT_EQ(c.asyncTranslators, *async ? std::stoul(async + 6)
+                                                     : 0u)
+                    << spec;
+            }
+        }
+    }
+    // Modifiers may come in any order; the name is canonical.
+    EXPECT_EQ(parsed("async3+bbb+tmpl").name, "tmpl+bbb+async3");
+}
+
+TEST(EngineConfig, ParseRejectsEachErrorKind)
+{
+    using engine::SpecError;
+    const struct
+    {
+        const char *spec;
+        SpecError want;
+    } cases[] = {
+        {"", SpecError::Empty},
+        {"soft+", SpecError::Empty},
+        {"vm.bogus", SpecError::UnknownToken},
+        {"vm.soft.tmpl", SpecError::UnknownToken},
+        {"bbb+async2", SpecError::NoCold},
+        {"soft+tmpl", SpecError::ColdTwice},
+        {"vm.be+xlt", SpecError::ColdTwice},
+        {"soft+bbb+bbb", SpecError::DetectorTwice},
+        {"vm.fe+bbb", SpecError::DetectorTwice},
+        {"soft+async2+async4", SpecError::AsyncTwice},
+        {"soft+async", SpecError::BadAsyncCount},
+        {"soft+async0", SpecError::BadAsyncCount},
+        {"soft+async02", SpecError::BadAsyncCount},
+        {"soft+async2x", SpecError::BadAsyncCount},
+        {"soft+async65", SpecError::BadAsyncCount},
+        {"soft+async99999999999999999999", SpecError::BadAsyncCount},
+    };
+    for (const auto &c : cases) {
+        engine::EngineConfig out;
+        out.name = "untouched";
+        EXPECT_EQ(engine::EngineConfig::parse(c.spec, out), c.want)
+            << "'" << c.spec << "'";
+        EXPECT_EQ(out.name, "untouched") << c.spec;
+        EXPECT_STRNE(engine::specErrorName(c.want), "?");
+    }
 }
 
 TEST(EngineConfig, NamedConfigsComposeDistinctStrategies)
@@ -165,8 +244,7 @@ TEST(CodeCacheManager, ExecutionCorrectAcrossForcedFlush)
               static_cast<int>(x86::Exit::Halted));
 
     for (const char *name : {"vm.soft", "vm.be"}) {
-        engine::EngineConfig cfg =
-            *engine::EngineConfig::byName(name);
+        engine::EngineConfig cfg = engine::EngineConfig::fromSpec(name);
         cfg.hotThreshold = 30;
         cfg.bbtCacheBytes = 1024; // force flush/retranslate cycles
 

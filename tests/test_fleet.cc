@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "fleet/arrival.hh"
 #include "fleet/fleet.hh"
 #include "fleet/scheduler.hh"
+#include "timing/machine_config.hh"
 #include "vmm/vmm.hh"
 #include "workload/program_gen.hh"
 #include "x86/interp.hh"
@@ -156,6 +158,31 @@ TEST(StatMerge, NestsEveryKindUnderPrefix)
 }
 
 // --- arrival curves -------------------------------------------------
+
+TEST(WorkWeights, BbtTranslateMatchesTheTimingModel)
+{
+    // Every translating cold tier is priced at the Delta_BBT the
+    // timing model charges for it (the template tier: 40, not 83).
+    for (const engine::ColdTier &t : engine::coldTiers()) {
+        if (t.bbtCyclesPerInsn == 0.0)
+            continue;
+        const engine::EngineConfig c = engine::EngineConfig::fromSpec(t.token);
+        EXPECT_EQ(fleet::WorkWeights::forConfig(c).bbtTranslate,
+                  timing::MachineConfig::of(c, false).costs.bbtCyclesPerInsn)
+            << c.name;
+    }
+    EXPECT_EQ(fleet::WorkWeights::forConfig(
+                  engine::EngineConfig::fromSpec("tmpl")).bbtTranslate,
+              engine::params::BBT_TMPL_XLATE);
+
+    // vm.soft and vm.interp keep the default weights bit for bit.
+    const fleet::WorkWeights def;
+    for (const engine::EngineConfig &c :
+         {engine::EngineConfig::vmSoft(), engine::EngineConfig::vmInterp()}) {
+        const fleet::WorkWeights w = fleet::WorkWeights::forConfig(c);
+        EXPECT_EQ(std::memcmp(&w, &def, sizeof w), 0) << c.name;
+    }
+}
 
 TEST(Arrival, StormAllAtZero)
 {

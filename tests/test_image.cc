@@ -531,7 +531,7 @@ TEST(Image, TemplateProvenanceRoundTrip)
     workload::Program prog = testProgram(33);
     const std::string path = tempPath("image_tmpl.cdvmimg");
 
-    vmm::VmmConfig cfg = engine::EngineConfig::vmSoftTmpl();
+    vmm::VmmConfig cfg = engine::EngineConfig::fromSpec("tmpl");
     cfg.hotThreshold = 30;
 
     // Cold run under the template tier; the captured repository and

@@ -209,8 +209,9 @@ TEST(Observability, VmmExportPopulatesRegistry)
 /** End-to-end: a startup-sim run populates timing.* stats. */
 TEST(Observability, StartupSimExportPopulatesRegistry)
 {
-    timing::StartupSim sim(timing::MachineConfig::vmSoft(),
-                           workload::winstoneAverage(200'000));
+    timing::StartupSim sim(
+        timing::MachineConfig::of(engine::EngineConfig::vmSoft(), false),
+        workload::winstoneAverage(200'000));
     timing::StartupResult r = sim.run();
     StatRegistry reg;
     r.exportStats(reg, "timing.startup");

@@ -379,7 +379,7 @@ TEST(SamplingProfiler, DeterministicAsyncMatchesSynchronousHeatmap)
 
     vmm::VmmConfig sync_cfg = engine::EngineConfig::vmSoft();
     sync_cfg.profileSamplePeriod = 128;
-    vmm::VmmConfig async_cfg = engine::EngineConfig::vmSoftAsync();
+    vmm::VmmConfig async_cfg = engine::EngineConfig::fromSpec("soft+async2");
     async_cfg.asyncDeterministic = true;
     async_cfg.profileSamplePeriod = 128;
 
@@ -655,7 +655,7 @@ TEST(AsyncLatency, DrainedJobsPopulateTheHistograms)
     x86::Memory mem;
     prog.loadInto(mem);
 
-    vmm::VmmConfig cfg = engine::EngineConfig::vmSoftAsync();
+    vmm::VmmConfig cfg = engine::EngineConfig::fromSpec("soft+async2");
     cfg.asyncDeterministic = true; // every request installs in-run
     cfg.hotThreshold = 50;
     vmm::Vmm vm(mem, cfg);
@@ -695,7 +695,7 @@ TEST(AsyncProfile, SamplingDuringFreeRunningAsyncInstalls)
     for (unsigned round = 0; round < 3; ++round) {
         x86::Memory mem;
         prog.loadInto(mem);
-        vmm::VmmConfig cfg = engine::EngineConfig::vmSoftAsync();
+        vmm::VmmConfig cfg = engine::EngineConfig::fromSpec("soft+async2");
         cfg.hotThreshold = 50;
         cfg.profileSamplePeriod = 16;
         cfg.flightRecorderEvents = 256;

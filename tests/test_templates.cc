@@ -454,7 +454,7 @@ TEST(TemplateVmm, SmcParityWithSoftwareBbt)
     workload::Program prog = test::snippetProgram(as);
 
     vmm::VmmConfig cfg_soft = engine::EngineConfig::vmSoft();
-    vmm::VmmConfig cfg_tmpl = engine::EngineConfig::vmSoftTmpl();
+    vmm::VmmConfig cfg_tmpl = engine::EngineConfig::fromSpec("tmpl");
 
     x86::Memory mem_a, mem_b;
     test::RunResult a = test::runVmm(prog, mem_a, cfg_soft);
@@ -477,7 +477,7 @@ TEST(TemplateVmm, RetiresIdenticallyToInterpreter)
     ASSERT_EQ(static_cast<int>(ref.exit),
               static_cast<int>(x86::Exit::Halted));
 
-    vmm::VmmConfig cfg = engine::EngineConfig::vmSoftTmpl();
+    vmm::VmmConfig cfg = engine::EngineConfig::fromSpec("tmpl");
     cfg.hotThreshold = 30;
     x86::Memory mem;
     vmm::VmmStats stats;

@@ -29,15 +29,29 @@ alu(u8 d, u8 s1, u8 s2)
     return u;
 }
 
+/** Simulate an engine configuration's cold-booted machine. */
+StartupResult
+run(const engine::EngineConfig &cfg, const workload::AppProfile &app)
+{
+    return StartupSim(MachineConfig::of(cfg, false), app).run();
+}
+
 TEST(MachineConfig, PresetsMatchTable2)
 {
     auto machines = MachineConfig::table2();
     ASSERT_EQ(machines.size(), 4u);
-    EXPECT_EQ(machines[0].kind, MachineKind::RefSuperscalar);
-    EXPECT_EQ(machines[1].kind, MachineKind::VmSoft);
-    EXPECT_EQ(machines[2].kind, MachineKind::VmBe);
-    EXPECT_EQ(machines[3].kind, MachineKind::VmFe);
-
+    EXPECT_EQ(machines[0].name, "Ref: superscalar");
+    EXPECT_EQ(machines[1].name, "VM.soft");
+    EXPECT_EQ(machines[2].name, "VM.be");
+    EXPECT_EQ(machines[3].name, "VM.fe");
+    // Only the ref runs x86 natively; only VM.be keeps the XLTx86
+    // decode logic busy while translating.
+    EXPECT_EQ(machines[0].cold, ColdMode::Native);
+    EXPECT_EQ(machines[1].cold, ColdMode::BbtCode);
+    EXPECT_EQ(machines[2].cold, ColdMode::BbtCode);
+    EXPECT_EQ(machines[3].cold, ColdMode::X86Direct);
+    EXPECT_DOUBLE_EQ(machines[1].xltBusyFraction, 0.0);
+    EXPECT_DOUBLE_EQ(machines[2].xltBusyFraction, 4.0 / 20.0);
     EXPECT_DOUBLE_EQ(machines[1].costs.bbtCyclesPerInsn, 83.0);
     EXPECT_DOUBLE_EQ(machines[1].costs.bbtNativePerInsn, 105.0);
     EXPECT_DOUBLE_EQ(machines[2].costs.bbtCyclesPerInsn, 20.0);
@@ -47,7 +61,30 @@ TEST(MachineConfig, PresetsMatchTable2)
         EXPECT_EQ(m.pipeline.robEntries, 128u);
         EXPECT_EQ(m.memory.memLatency, 168u);
     }
-    EXPECT_EQ(MachineConfig::vmInterp().hotThreshold, 25u);
+    EXPECT_EQ(
+        MachineConfig::of(engine::EngineConfig::vmInterp(), false).hotThreshold,
+        25u);
+}
+
+TEST(MachineConfig, OfFollowsTheColdTierRow)
+{
+    for (const engine::ColdTier &t : engine::coldTiers()) {
+        for (bool warm : {false, true}) {
+            const engine::EngineConfig c = engine::EngineConfig::fromSpec(
+                t.token + std::string("+async2"));
+            const MachineConfig m = MachineConfig::of(c, warm);
+            EXPECT_EQ(m.name, warm ? c.name + ".warm" : c.name);
+            EXPECT_EQ(m.cold, t.mode) << m.name;
+            EXPECT_EQ(m.costs.bbtNativePerInsn, t.bbtNativePerInsn);
+            EXPECT_EQ(m.costs.bbtCyclesPerInsn, t.bbtCyclesPerInsn);
+            EXPECT_EQ(m.coldCpiFactor, t.coldCpiFactor) << m.name;
+            EXPECT_EQ(m.frontendX86Decoders, t.frontendX86Decoders);
+            EXPECT_EQ(m.hotThreshold, t.hotThreshold) << m.name;
+            EXPECT_EQ(m.xltBusyFraction, t.xltBusyFraction) << m.name;
+            EXPECT_EQ(m.asyncTranslators, 2u) << m.name;
+            EXPECT_EQ(m.warmStart, warm) << m.name;
+        }
+    }
 }
 
 TEST(Pipeline, WidthBoundsIpc)
@@ -152,9 +189,9 @@ TEST(StartupSim, MachineInvariants)
 
     StartupResult ref =
         StartupSim(MachineConfig::refSuperscalar(), app).run();
-    StartupResult soft = StartupSim(MachineConfig::vmSoft(), app).run();
-    StartupResult be = StartupSim(MachineConfig::vmBe(), app).run();
-    StartupResult fe = StartupSim(MachineConfig::vmFe(), app).run();
+    StartupResult soft = run(engine::EngineConfig::vmSoft(), app);
+    StartupResult be = run(engine::EngineConfig::vmBe(), app);
+    StartupResult fe = run(engine::EngineConfig::vmFe(), app);
 
     // Ref never translates; decoders always on.
     EXPECT_EQ(ref.staticInsnsBbt, 0u);
@@ -188,8 +225,8 @@ TEST(StartupSim, MachineInvariants)
 TEST(StartupSim, BbtXlateCostScalesWithAssist)
 {
     workload::AppProfile app = workload::winstoneAverage(3'000'000);
-    StartupResult soft = StartupSim(MachineConfig::vmSoft(), app).run();
-    StartupResult be = StartupSim(MachineConfig::vmBe(), app).run();
+    StartupResult soft = run(engine::EngineConfig::vmSoft(), app);
+    StartupResult be = run(engine::EngineConfig::vmBe(), app);
     double soft_x =
         soft.catCycles[static_cast<size_t>(CycleCat::BbtXlate)];
     double be_x = be.catCycles[static_cast<size_t>(CycleCat::BbtXlate)];
@@ -204,9 +241,8 @@ TEST(StartupCurveAnalysis, BreakevenSemantics)
     workload::AppProfile app = workload::winstoneAverage(4'000'000);
     StartupResult ref =
         StartupSim(MachineConfig::refSuperscalar(), app).run();
-    StartupResult fe = StartupSim(MachineConfig::vmFe(), app).run();
-    StartupResult interp =
-        StartupSim(MachineConfig::vmInterp(), app).run();
+    StartupResult fe = run(engine::EngineConfig::vmFe(), app);
+    StartupResult interp = run(engine::EngineConfig::vmInterp(), app);
 
     // The interpreter-based VM must not break even on a short trace.
     EXPECT_LT(analysis::breakevenCycle(interp, ref), 0.0);

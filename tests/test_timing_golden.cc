@@ -4,10 +4,11 @@
  *
  * Two guarantees:
  *
- *  - Async N=0 is the synchronous model, bit for bit: vmSoftAsync(0)
- *    and vmBeAsync(0) must reproduce vmSoft/vmBe exactly (every cycle
- *    bucket, every curve sample). The async overlap model must be a
- *    pure extension, never a perturbation of the paper's baselines.
+ *  - Async N=0 is the synchronous model, bit for bit: soft+async2 and
+ *    xlt+async2 with their contexts set back to 0 must reproduce
+ *    VM.soft/VM.be exactly (every cycle bucket, every curve sample).
+ *    The async overlap model must be a pure extension, never a
+ *    perturbation of the paper's baselines.
  *
  *  - The fig2/fig8 headline numbers on a fixed-seed small trace match
  *    tests/golden/startup_small.txt. The simulator is deterministic,
@@ -40,6 +41,14 @@ namespace
 {
 
 constexpr u64 GOLDEN_INSNS = 1'000'000;
+
+/** The cold-booted machine of an engine spec. */
+timing::MachineConfig
+machine(const char *spec)
+{
+    return timing::MachineConfig::of(engine::EngineConfig::fromSpec(spec),
+                                     false);
+}
 
 timing::StartupResult
 simulate(const timing::MachineConfig &m)
@@ -82,26 +91,22 @@ expectBitIdentical(const timing::StartupResult &a,
 
 TEST(TimingGolden, AsyncZeroContextsIsBitIdenticalToSyncSoft)
 {
-    timing::MachineConfig async0 = timing::MachineConfig::vmSoftAsync(0);
-    async0.name = "VM.soft"; // only the model must match, not the label
-    expectBitIdentical(simulate(timing::MachineConfig::vmSoft()),
-                       simulate(async0));
+    timing::MachineConfig async0 = machine("soft+async2");
+    async0.asyncTranslators = 0;
+    expectBitIdentical(simulate(machine("vm.soft")), simulate(async0));
 }
 
 TEST(TimingGolden, AsyncZeroContextsIsBitIdenticalToSyncBe)
 {
-    timing::MachineConfig async0 = timing::MachineConfig::vmBeAsync(0);
-    async0.name = "VM.be";
-    expectBitIdentical(simulate(timing::MachineConfig::vmBe()),
-                       simulate(async0));
+    timing::MachineConfig async0 = machine("xlt+async2");
+    async0.asyncTranslators = 0;
+    expectBitIdentical(simulate(machine("vm.be")), simulate(async0));
 }
 
 TEST(TimingGolden, AsyncOverlapStrictlyReducesCriticalPath)
 {
-    timing::StartupResult sync =
-        simulate(timing::MachineConfig::vmSoft());
-    timing::StartupResult async2 =
-        simulate(timing::MachineConfig::vmSoftAsync(2));
+    timing::StartupResult sync = simulate(machine("vm.soft"));
+    timing::StartupResult async2 = simulate(machine("soft+async2"));
 
     // Same work retired, strictly fewer emulation-thread cycles: the
     // Delta_SBT that was on the critical path became occupancy.
@@ -150,12 +155,12 @@ TEST(TimingGolden, Fig2Fig8MachinesMatchGoldenFile)
     };
     const Entry entries[] = {
         {"ref", timing::MachineConfig::refSuperscalar()},
-        {"vm_interp", timing::MachineConfig::vmInterp()},
-        {"vm_soft", timing::MachineConfig::vmSoft()},
-        {"vm_be", timing::MachineConfig::vmBe()},
-        {"vm_fe", timing::MachineConfig::vmFe()},
-        {"vm_soft_async", timing::MachineConfig::vmSoftAsync(2)},
-        {"vm_be_async", timing::MachineConfig::vmBeAsync(2)},
+        {"vm_interp", machine("vm.interp")},
+        {"vm_soft", machine("vm.soft")},
+        {"vm_be", machine("vm.be")},
+        {"vm_fe", machine("vm.fe")},
+        {"vm_soft_async", machine("soft+async2")},
+        {"vm_be_async", machine("xlt+async2")},
     };
     for (const Entry &e : entries) {
         for (const auto &kv : metricsFor(e.key, simulate(e.cfg)))

@@ -158,9 +158,7 @@ TEST(Vmm, X86ModeUsesBbbAndNoBbt)
     as.hlt();
     workload::Program prog = test::snippetProgram(as);
 
-    vmm::VmmConfig cfg;
-    cfg.cold = engine::ColdKind::HardwareX86Mode;
-    cfg.detector = engine::DetectorKind::Bbb;
+    vmm::VmmConfig cfg = engine::EngineConfig::vmFe();
     cfg.bbbParams.hotThreshold = 300;
     x86::Memory mem;
     vmm::VmmStats st;
