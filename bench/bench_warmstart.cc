@@ -20,12 +20,20 @@
  * versus software-BBT translating the same captured basic blocks from
  * guest code. Over interleaved rounds it gates on the median ratio:
  * the mapped install must cost at most half as much per instruction,
- * with zero per-record body copies. It exports bench.warmstart.image.*
- * (load_ratio_vs_translate is the gated metric).
+ * with zero per-record body copies. The same rounds time the whole
+ * load a warm-booting VM pays -- mapping and verifying the saved image
+ * file, then installing it -- and gate that at the same bound. It
+ * exports bench.warmstart.image.* (load_ratio_vs_translate and
+ * load_verify_ratio_vs_translate are the gated metrics).
  */
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include "bench_common.hh"
 #include "dbt/bbt.hh"
@@ -105,6 +113,41 @@ timeMappedInstall(const workload::Program &prog,
     return r;
 }
 
+/** One round's load of the saved image file (map + whole-image
+ *  verify) and install of it, into fresh engine structures: what a
+ *  VM booting from the file pays. */
+struct LoadedRound
+{
+    double ns = 0.0;       //!< load + install
+    double verifyNs = 0.0; //!< TransImage::load alone
+    bool loaded = false;
+    engine::WarmStartReport report;
+};
+
+LoadedRound
+timeLoadedInstall(const workload::Program &prog, const std::string &path)
+{
+    dbt::TransImage img; // outlives the views the install binds
+    x86::Memory mem;
+    prog.loadInto(mem);
+    engine::EngineConfig cfg = engine::EngineConfig::vmSoft();
+    engine::EngineStats stats;
+    engine::EventStream events;
+    engine::BranchProfile prof;
+    engine::CodeCacheManager ccm(mem, cfg, stats, events);
+
+    LoadedRound r;
+    r.ns = timeNs([&] {
+        r.verifyNs = timeNs([&] {
+            r.loaded = dbt::TransImage::load(path, img) ==
+                       dbt::LoadError::None;
+        });
+        if (r.loaded)
+            r.report = engine::warmStartInstall(img, mem, ccm, prof);
+    });
+    return r;
+}
+
 /** One round's software-BBT translation of every captured basic
  *  block. @return ns; insns receives the x86 instructions translated. */
 double
@@ -131,10 +174,12 @@ timeTranslate(const workload::Program &prog,
  * blocks from guest code with the software BBT -- the Delta_BBT a
  * warm start skips. Rounds are interleaved (the order alternates, so
  * neither side systematically sees a warmer host), and the gate is on
- * the median per-round ratio.
- * @return true when the gates hold (median ratio >= min_ratio, zero
- *         body copies, the whole image installed, and the BBT
- *         re-translating exactly the captured blocks).
+ * the median per-round ratio. The same rounds also time loading the
+ * saved image file (map + whole-image verify) plus the install, which
+ * is what a VM booting from the file pays, gated at the same ratio.
+ * @return true when the gates hold (both median ratios >= min_ratio,
+ *         zero body copies, the whole image installed on both paths,
+ *         and the BBT re-translating exactly the captured blocks).
  */
 bool
 imageLoadMicrobench(double min_ratio, int rounds)
@@ -170,25 +215,41 @@ imageLoadMicrobench(double min_ratio, int rounds)
         std::printf("image: built blob failed verification\n");
         return false;
     }
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("cdvm-warmstart-" + std::to_string(::getpid()) + ".cdvmimg"))
+            .string();
+    if (!dbt::TransImage::save(path, blob)) {
+        std::printf("image: cannot save %s\n", path.c_str());
+        return false;
+    }
 
-    // One untimed warm-up of each side, then interleaved rounds.
+    // One untimed warm-up of each side, then interleaved rounds: the
+    // mapped install and the translation alternate order, with the
+    // file load between them.
     u64 translated = 0;
     MappedRound mapped = timeMappedInstall(prog, img);
+    LoadedRound loaded = timeLoadedInstall(prog, path);
     timeTranslate(prog, blocks, vcfg.maxBlockInsns, translated);
     std::vector<double> mapped_ns, translate_ns, ratios;
+    std::vector<double> loaded_ns, verify_ns, load_ratios;
+    bool all_loaded = true;
     for (int r = 0; r < rounds; ++r) {
         double m = 0.0, t = 0.0;
         if (r % 2 == 0) {
             mapped = timeMappedInstall(prog, img);
             m = mapped.ns;
+            loaded = timeLoadedInstall(prog, path);
             t = timeTranslate(prog, blocks, vcfg.maxBlockInsns,
                               translated);
         } else {
             t = timeTranslate(prog, blocks, vcfg.maxBlockInsns,
                               translated);
+            loaded = timeLoadedInstall(prog, path);
             mapped = timeMappedInstall(prog, img);
             m = mapped.ns;
         }
+        all_loaded = all_loaded && loaded.loaded;
         const double m_per = mapped.report.installedInsns
                                  ? m / static_cast<double>(
                                            mapped.report.installedInsns)
@@ -198,12 +259,25 @@ imageLoadMicrobench(double min_ratio, int rounds)
         mapped_ns.push_back(m_per);
         translate_ns.push_back(t_per);
         ratios.push_back(m_per > 0.0 ? t_per / m_per : 0.0);
+
+        const double l_insns =
+            static_cast<double>(loaded.report.installedInsns);
+        const double l_per = l_insns ? loaded.ns / l_insns : 0.0;
+        loaded_ns.push_back(l_per);
+        verify_ns.push_back(l_insns ? loaded.verifyNs / l_insns : 0.0);
+        load_ratios.push_back(l_per > 0.0 ? t_per / l_per : 0.0);
     }
+    std::remove(path.c_str());
     const double mapped_med = median(mapped_ns);
     const double translate_med = median(translate_ns);
     const double ratio = median(ratios);
     std::vector<double> sorted = ratios;
     std::sort(sorted.begin(), sorted.end());
+    const double loaded_med = median(loaded_ns);
+    const double verify_med = median(verify_ns);
+    const double load_ratio = median(load_ratios);
+    std::vector<double> load_sorted = load_ratios;
+    std::sort(load_sorted.begin(), load_sorted.end());
 
     std::printf("\n=== Load path: zero-copy mapped install vs software "
                 "BBT of the same blocks ===\n");
@@ -227,15 +301,27 @@ imageLoadMicrobench(double min_ratio, int rounds)
     std::printf("load ratio vs translate: median %.2fx (min %.2fx, "
                 "max %.2fx)\n",
                 ratio, sorted.front(), sorted.back());
+    std::printf("file load + install:    %.1f ns/insn (map + verify "
+                "%.1f ns/insn)\n",
+                loaded_med, verify_med);
+    std::printf("load+verify ratio vs translate: median %.2fx (min "
+                "%.2fx, max %.2fx)\n",
+                load_ratio, load_sorted.front(), load_sorted.back());
 
     bool ok = true;
-    if (mapped.report.bodyCopies != 0) {
+    if (mapped.report.bodyCopies != 0 || loaded.report.bodyCopies != 0) {
         std::printf("  GATE FAILED: mapped install must perform zero "
                     "per-record body copies\n");
         ok = false;
     }
+    if (!all_loaded) {
+        std::printf("  GATE FAILED: the saved image file must load\n");
+        ok = false;
+    }
     if (mapped.report.installed != img.recordCount() ||
-        mapped.report.invalidated != 0) {
+        mapped.report.invalidated != 0 ||
+        loaded.report.installed != img.recordCount() ||
+        loaded.report.invalidated != 0) {
         std::printf("  GATE FAILED: the whole image must install "
                     "against its own guest memory\n");
         ok = false;
@@ -252,6 +338,14 @@ imageLoadMicrobench(double min_ratio, int rounds)
         std::printf("  GATE FAILED: mapped install must be, in the "
                     "median, at least %.1fx cheaper per instruction "
                     "than software-BBT translation\n",
+                    min_ratio);
+        ok = false;
+    }
+    if (!(load_ratio >= min_ratio)) {
+        std::printf("  GATE FAILED: loading (map + verify) and "
+                    "installing the image file must be, in the median, "
+                    "at least %.1fx cheaper per instruction than "
+                    "software-BBT translation\n",
                     min_ratio);
         ok = false;
     }
@@ -291,6 +385,13 @@ imageLoadMicrobench(double min_ratio, int rounds)
     reg.set("bench.warmstart.image.load_ratio_vs_translate", ratio,
             "median per-round translate / mapped-install time per "
             "insn (gated >= 2)");
+    reg.set("bench.warmstart.image.verify_ns_per_insn", verify_med,
+            "median TransImage::load (map + whole-image verify) wall "
+            "time per installed insn");
+    reg.set("bench.warmstart.image.load_verify_ratio_vs_translate",
+            load_ratio,
+            "median per-round translate / (file load + install) time "
+            "per insn (gated >= 2)");
     reg.set("bench.warmstart.image.rounds", static_cast<double>(rounds),
             "interleaved timing rounds behind the medians");
     return ok;

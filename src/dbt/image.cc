@@ -1,7 +1,9 @@
 #include "dbt/image.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstring>
 
 #include "uops/encoding.hh"
@@ -40,6 +42,16 @@ readU64(const u8 *p)
     u64 v = 0;
     std::memcpy(&v, p, sizeof v);
     return v;
+}
+
+/** Copy a vector's bytes to dst. An empty vector copies nothing: its
+ *  data() may be null, which memcpy must never be passed. */
+template <typename T>
+void
+copyOut(u8 *dst, const std::vector<T> &v)
+{
+    if (!v.empty())
+        std::memcpy(dst, v.data(), v.size() * sizeof(T));
 }
 
 /** Record blob size: header + pc table + raw uop bodies, 8-aligned. */
@@ -156,7 +168,72 @@ expandRecord(const TransImage::RecordView &v)
     return e;
 }
 
+// imageChecksum constants: xxHash64's odd primes for the lane step,
+// murmur3's fmix64 multipliers for the finalizer.
+constexpr u64 SUM_P1 = 0x9E3779B185EBCA87ull;
+constexpr u64 SUM_P2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::size_t SUM_LANES = 4;
+constexpr std::size_t CHECKSUM_WORD =
+    offsetof(ImageHeader, checksum) / sizeof(u64);
+
+/** One lane step: a bijection of acc for fixed w and of w for fixed
+ *  acc (odd multipliers, add and rotate are all invertible). */
+u64
+sumRound(u64 acc, u64 w)
+{
+    return std::rotl(acc + w * SUM_P2, 31) * SUM_P1;
+}
+
+/** murmur3 fmix64: a bijection of k. */
+u64
+fmix64(u64 k)
+{
+    k ^= k >> 33;
+    k *= 0xFF51AFD7ED558CCDull;
+    k ^= k >> 33;
+    k *= 0xC4CEB9FE1A85EC53ull;
+    k ^= k >> 33;
+    return k;
+}
+
 } // namespace
+
+u64
+imageChecksum(std::span<const u8> image)
+{
+    const u8 *p = image.data();
+    const std::size_t n = image.size();
+    const std::size_t words = n / sizeof(u64);
+    u64 lane[SUM_LANES] = {SUM_P1 + SUM_P2, SUM_P2, 0, 0 - SUM_P1};
+
+    // The first block holds the checksum field, which reads as zero.
+    std::size_t i = 0;
+    for (; i < words && i < SUM_LANES; ++i)
+        lane[i] = sumRound(lane[i], i == CHECKSUM_WORD
+                                        ? 0
+                                        : readU64(p + 8 * i));
+    for (; i + SUM_LANES <= words; i += SUM_LANES) {
+        lane[0] = sumRound(lane[0], readU64(p + 8 * i));
+        lane[1] = sumRound(lane[1], readU64(p + 8 * i + 8));
+        lane[2] = sumRound(lane[2], readU64(p + 8 * i + 16));
+        lane[3] = sumRound(lane[3], readU64(p + 8 * i + 24));
+    }
+    for (; i < words; ++i)
+        lane[i % SUM_LANES] =
+            sumRound(lane[i % SUM_LANES], readU64(p + 8 * i));
+
+    // Sub-word tail, zero-extended (a partial checksum field, in a
+    // blob shorter than the header, reads as zero too).
+    u64 tail = 0;
+    if (n % sizeof(u64) && words != CHECKSUM_WORD)
+        std::memcpy(&tail, p + 8 * words, n % sizeof(u64));
+
+    u64 h = 0;
+    for (u64 l : lane)
+        h = fmix64(h ^ l);
+    h = fmix64(h ^ tail);
+    return fmix64(h ^ static_cast<u64>(n));
+}
 
 u64
 pageSetKey(std::span<const std::pair<Addr, u64>> sorted_pages)
@@ -235,17 +312,10 @@ TransImage::verify()
     if (total > len)
         return LoadError::Truncated;
 
-    // Whole-image checksum with the checksum field itself zeroed.
-    {
-        u64 h = 0xCBF29CE484222325ull;
-        for (u64 i = 0; i < total; ++i) {
-            const u8 b = (i >= 24 && i < 32) ? 0 : base[i];
-            h ^= b;
-            h *= 0x100000001B3ull;
-        }
-        if (h != readU64(base + 24))
-            return LoadError::Corrupt;
-    }
+    // Whole-image checksum (the checksum field reads as zero).
+    if (imageChecksum({base, static_cast<std::size_t>(total)}) !=
+        readU64(base + offsetof(ImageHeader, checksum)))
+        return LoadError::Corrupt;
 
     hdr = reinterpret_cast<const ImageHeader *>(base);
     if (hdr->sectionCount != IMAGE_NUM_SECTIONS)
@@ -630,11 +700,8 @@ ImageBuilder::build()
                   return a.key != b.key ? a.key < b.key
                                         : a.record < b.record;
               });
-    std::memcpy(at(sec(ImageSection::DedupeIndex).offset), dd.data(),
-                dd.size() * sizeof(ImageDedupeEntry));
-
-    std::memcpy(at(sec(ImageSection::RecordIndex).offset),
-                rec_off.data(), rec_off.size() * sizeof(u64));
+    copyOut(at(sec(ImageSection::DedupeIndex).offset), dd);
+    copyOut(at(sec(ImageSection::RecordIndex).offset), rec_off);
 
     for (std::size_t i = 0; i < kept; ++i) {
         const Staged &s = recs[i];
@@ -672,8 +739,7 @@ ImageBuilder::build()
         u8 *rp = at(sec(ImageSection::Records).offset + rec_off[i]);
         std::memcpy(rp, &rh, sizeof rh);
         rp += sizeof rh;
-        std::memcpy(rp, s.entry.x86pcs.data(),
-                    s.entry.x86pcs.size() * sizeof(Addr));
+        copyOut(rp, s.entry.x86pcs);
         rp += s.entry.x86pcs.size() * sizeof(Addr);
         for (const uops::Uop &u : t->uops) {
             writeUop(rp, u);
@@ -681,8 +747,7 @@ ImageBuilder::build()
         }
     }
 
-    std::memcpy(at(sec(ImageSection::Relocs).offset), relocs.data(),
-                relocs.size() * sizeof(ImageReloc));
+    copyOut(at(sec(ImageSection::Relocs).offset), relocs);
 
     p = at(sec(ImageSection::BranchProfile).offset);
     for (const auto &[pc, counts] : branch) {
@@ -692,9 +757,10 @@ ImageBuilder::build()
     }
 
     std::memcpy(out.data(), &hdr, sizeof hdr);
-    // Checksum with its own field zeroed, then patched in.
-    const u64 sum = fnv1a(out);
-    std::memcpy(out.data() + 24, &sum, sizeof sum);
+    // Seal: the checksum reads its own field as zero.
+    const u64 sum = imageChecksum(out);
+    std::memcpy(out.data() + offsetof(ImageHeader, checksum), &sum,
+                sizeof sum);
     return out;
 }
 

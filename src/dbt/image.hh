@@ -15,10 +15,10 @@
  *
  * Layout (little-endian, every section 8-aligned):
  *
- *   ImageHeader  magic "CDVMIMG2" | version | section table
- *                | whole-image fnv1a checksum (field zeroed while
- *                  hashing, verified before ANY record byte is
- *                  interpreted)
+ *   ImageHeader  magic "CDVMIMG2" | version 3 | section table
+ *                | whole-image checksum (imageChecksum: the checksum
+ *                  field reads as zero while hashing; verified before
+ *                  ANY record byte is interpreted)
  *   PageIndex    { guestPage, fnv1a(page content) }*     sorted
  *   DedupeIndex  { contentKey, record }*                 sorted
  *   RecordIndex  u64 offset into Records per record, hotness-ranked
@@ -49,6 +49,7 @@
 #ifndef CDVM_DBT_IMAGE_HH
 #define CDVM_DBT_IMAGE_HH
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -67,8 +68,9 @@ namespace cdvm::dbt
 
 /** Image file magic ("CDVMIMG2" as a little-endian u64). */
 constexpr u64 IMAGE_MAGIC = 0x32474D494D564443ull;
-/** Image format version. */
-constexpr u32 IMAGE_VERSION = 2;
+/** Image format version. Version 2 images (sealed with a byte-serial
+ *  fnv1a checksum) are rejected as BadVersion, not migrated. */
+constexpr u32 IMAGE_VERSION = 3;
 
 /** Section order in the image's section table. */
 enum class ImageSection : u32
@@ -101,8 +103,9 @@ struct ImageHeader
     u32 version = IMAGE_VERSION;
     u32 sectionCount = IMAGE_NUM_SECTIONS;
     u64 totalBytes = 0; //!< image size (the whole file or buffer)
-    /** fnv1a over [0, totalBytes) with this field zeroed. Verified
-     *  before any other field of the image is trusted. */
+    /** imageChecksum over [0, totalBytes), which reads this field
+     *  as zero. Verified before any field other than magic, version
+     *  and totalBytes is trusted. */
     u64 checksum = 0;
     u64 generation = 0; //!< builder generation (compaction counter)
     u64 dedupeHits = 0; //!< records merged by content at build time
@@ -111,6 +114,20 @@ struct ImageHeader
 };
 static_assert(sizeof(ImageHeader) ==
               56 + 24 * IMAGE_NUM_SECTIONS);
+static_assert(offsetof(ImageHeader, checksum) == 24);
+
+/**
+ * The whole-image integrity seal. Reads image as little-endian 8-byte
+ * words with word 3 (the checksum field, bytes 24-31) as zero, spreads
+ * them round-robin over 4 independent lanes (acc = rotl(acc + w*P2,
+ * 31) * P1, a bijection of acc for fixed w and of w for fixed acc),
+ * and folds the lanes, the zero-extended sub-word tail and the byte
+ * length through a bijective fmix64 finalizer in sequence. Changing
+ * any single word therefore always changes the result. The lanes are
+ * independent, so the loop runs at memory speed rather than at one
+ * multiply latency per byte.
+ */
+u64 imageChecksum(std::span<const u8> image);
 
 /** PageIndex entry: a guest code page and its content hash. */
 struct ImagePageHash

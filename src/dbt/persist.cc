@@ -1,6 +1,7 @@
 #include "dbt/persist.hh"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -85,7 +86,8 @@ fnv1a(std::span<const u8> bytes)
 u64
 guestPageHash(const x86::Memory &mem, Addr page)
 {
-    std::vector<u8> bytes = mem.readBlock(page, PAGE_BYTES);
+    std::array<u8, PAGE_BYTES> bytes;
+    mem.fetchWindow(page, bytes.data(), bytes.size());
     return fnv1a(bytes);
 }
 

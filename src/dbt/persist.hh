@@ -140,7 +140,8 @@ struct Repository
     std::vector<SavedBranchStat> branchProfile;
 };
 
-/** FNV-1a over a byte span (the image's page and checksum hash). */
+/** FNV-1a over a byte span (the content hash of guest pages, record
+ *  pageKeys and dedupe keys; the image seal is imageChecksum). */
 u64 fnv1a(std::span<const u8> bytes);
 
 /** fnv1a content hash of one 4K guest code page (staleness unit). */

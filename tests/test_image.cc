@@ -5,10 +5,12 @@
  *
  * Format robustness: a built image round-trips to an equal capture;
  * truncation at any point (including every section boundary),
- * arbitrary bit flips, trailing bytes and foreign formats (the
- * retired v1 repository fixture among them) are rejected with a typed
- * error -- never a crash, never a parse -- and a rejected file leaves
- * the VM cleanly cold.
+ * arbitrary bit flips, a bit flip in every word, trailing bytes,
+ * foreign formats (the retired v1 repository fixture among them) and
+ * the previous image version are rejected with a typed error -- never
+ * a crash, never a parse -- and a rejected file leaves the VM cleanly
+ * cold. Structural damage re-sealed behind a valid checksum reaches
+ * each check behind the seal and is typed Corrupt.
  *
  * Zero-copy: a mapped-image install performs zero per-record body
  * copies (the acceptance stat), yet retires bit-identical state.
@@ -20,7 +22,10 @@
  */
 
 #include <atomic>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -98,6 +103,23 @@ adopted(std::span<const u8> bytes)
     dbt::TransImage img;
     EXPECT_EQ(dbt::TransImage::adopt(bytes, img), dbt::LoadError::None);
     return img;
+}
+
+/** Overwrite a little-endian field of a blob in place. */
+template <typename T>
+void
+poke(std::vector<u8> &blob, std::size_t off, T value)
+{
+    std::memcpy(blob.data() + off, &value, sizeof value);
+}
+
+/** Re-seal a (damaged) blob with a valid whole-image checksum, so
+ *  verification reaches the checks behind the seal. */
+void
+reseal(std::vector<u8> &blob)
+{
+    poke<u64>(blob, offsetof(dbt::ImageHeader, checksum),
+              dbt::imageChecksum(blob));
 }
 
 /** Run a plain Vmm on prog until >= target retired at a HLT (the
@@ -490,7 +512,7 @@ TEST(Image, WarmRunBitIdenticalToCold)
     workload::Program prog = testProgram(21);
     const std::string path = tempPath("image_warm.cdvmimg");
 
-    // Cold run; save the v2 image through the engine's own save path.
+    // Cold run; save the image through the engine's own save path.
     x86::Memory cold_mem;
     prog.loadInto(cold_mem);
     RunResult cold;
@@ -656,6 +678,280 @@ TEST(Image, FutureVersionsRejected)
     dbt::TransImage out;
     EXPECT_EQ(dbt::TransImage::adopt(blob, out),
               dbt::LoadError::BadVersion);
+}
+
+TEST(Image, PreviousVersionRejected)
+{
+    // A version-2 image (the retired fnv1a-sealed format) with a
+    // valid seal is rejected on its version, never parsed, and a VM
+    // pointed at one boots cold.
+    const workload::Program prog = testProgram();
+    x86::Memory pmem;
+    std::vector<u8> blob = builtImage(capturedRepo(prog, pmem));
+    poke<u32>(blob, offsetof(dbt::ImageHeader, version), 2);
+    reseal(blob);
+    dbt::TransImage img;
+    EXPECT_EQ(dbt::TransImage::adopt(blob, img),
+              dbt::LoadError::BadVersion);
+
+    const std::string path = tempPath("image_v2.cdvmimg");
+    ASSERT_TRUE(dbt::TransImage::save(path, blob));
+    EXPECT_EQ(dbt::TransImage::load(path, img),
+              dbt::LoadError::BadVersion);
+
+    // Architected state matches the interpreter's, and the run is
+    // exactly a cold boot (CpuState::icount is compared with a cold
+    // VM: the VM's count may differ from the interpreter's).
+    vmm::VmmConfig cfg = cfgSoft();
+    cfg.warmStartLoadPath = path;
+    x86::Memory mem, ref_mem, cold_mem;
+    vmm::VmmStats st, cold_st;
+    const RunResult got = runVmm(prog, mem, cfg, &st);
+    const RunResult ref = runInterp(prog, ref_mem);
+    const RunResult cold = runVmm(prog, cold_mem, cfgSoft(), &cold_st);
+    EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, got, mem));
+    EXPECT_EQ(got.retired, cold.retired);
+    EXPECT_EQ(st.warmLoaded, 0u);
+    EXPECT_EQ(st.warmInstalled, 0u);
+    EXPECT_EQ(st.warmMappedBytes, 0u);
+    EXPECT_EQ(st.bbtTranslations, cold_st.bbtTranslations);
+    EXPECT_GT(st.bbtTranslations, 0u);
+    std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// The seal: exhaustive single-word detection, and the structural
+// checks behind it (reached by re-sealing damaged blobs)
+// ---------------------------------------------------------------------
+
+TEST(Image, EveryWordFlipRejected)
+{
+    // A small budgeted image, so every word can be flipped.
+    x86::Memory mem;
+    const std::vector<u8> blob =
+        builtImage(capturedRepo(testProgram(), mem), 16 * 1024);
+    dbt::TransImage img = adopted(blob);
+    ASSERT_GT(img.recordCount(), 0u);
+    ASSERT_FALSE(img.relocs().empty());
+    ASSERT_EQ(blob.size() % 8, 0u);
+
+    // The seal is imageChecksum, and it ignores its own field.
+    EXPECT_EQ(dbt::imageChecksum(blob), img.header().checksum);
+    for (u64 field : {u64{0}, ~u64{0}, u64{0x0123456789ABCDEF}}) {
+        std::vector<u8> other = blob;
+        poke<u64>(other, offsetof(dbt::ImageHeader, checksum), field);
+        EXPECT_EQ(dbt::imageChecksum(other), img.header().checksum);
+    }
+
+    // One bit in every word, the checksum word and the last word
+    // included; the bit position walks through all 64 across words.
+    const std::size_t words = blob.size() / 8;
+    for (std::size_t w = 0; w < words; ++w) {
+        const unsigned bit = w % 64;
+        const std::size_t pos = 8 * w + bit / 8;
+        std::vector<u8> bad = blob;
+        bad[pos] ^= static_cast<u8>(1u << (bit % 8));
+
+        dbt::LoadError want = dbt::LoadError::Corrupt;
+        if (pos < 8) {
+            want = dbt::LoadError::BadMagic;
+        } else if (pos < 12) {
+            want = dbt::LoadError::BadVersion;
+        } else if (pos >= offsetof(dbt::ImageHeader, totalBytes) &&
+                   pos < offsetof(dbt::ImageHeader, checksum)) {
+            u64 total = 0;
+            std::memcpy(&total,
+                        bad.data() + offsetof(dbt::ImageHeader,
+                                              totalBytes),
+                        sizeof total);
+            if (total >= sizeof(dbt::ImageHeader) && total > bad.size())
+                want = dbt::LoadError::Truncated;
+        }
+        dbt::TransImage out;
+        EXPECT_EQ(dbt::TransImage::adopt(bad, out), want)
+            << "word=" << w << " pos=" << pos;
+    }
+}
+
+TEST(Image, ResealedStructuralDamageTyped)
+{
+    // Every structural check in verify() sits behind the seal, so each
+    // damaged field is re-sealed to reach it; every one must be typed
+    // Corrupt (and, under the sanitizers, read nothing out of bounds).
+    x86::Memory mem;
+    const dbt::Repository repo = capturedRepo(testProgram(), mem);
+    const std::vector<u8> blob = builtImage(repo);
+    dbt::TransImage img = adopted(blob);
+    const dbt::ImageHeader h = img.header();
+    const u64 n = img.recordCount();
+    ASSERT_GT(n, 1u);
+    ASSERT_FALSE(img.relocs().empty());
+    ASSERT_FALSE(img.dedupeIndex().empty());
+    ASSERT_FALSE(img.pageHashes().empty());
+
+    auto sec = [&h](dbt::ImageSection s) -> const dbt::ImageSectionDesc & {
+        return h.sections[static_cast<u32>(s)];
+    };
+    auto secField = [](dbt::ImageSection s, std::size_t field) {
+        return offsetof(dbt::ImageHeader, sections) +
+               static_cast<u32>(s) * sizeof(dbt::ImageSectionDesc) +
+               field;
+    };
+    constexpr std::size_t OFF = offsetof(dbt::ImageSectionDesc, offset);
+    constexpr std::size_t BYTES = offsetof(dbt::ImageSectionDesc, bytes);
+    constexpr std::size_t COUNT = offsetof(dbt::ImageSectionDesc, count);
+    const u64 records = sec(dbt::ImageSection::Records).offset;
+    const u64 rec_bytes = sec(dbt::ImageSection::Records).bytes;
+    const u64 rec_index = sec(dbt::ImageSection::RecordIndex).offset;
+    // Record 0's and the last record's headers (offsets ascend).
+    u64 first_off = 0, last_off = 0;
+    std::memcpy(&first_off, blob.data() + rec_index, sizeof first_off);
+    std::memcpy(&last_off, blob.data() + rec_index + 8 * (n - 1),
+                sizeof last_off);
+    auto recField = [&](u64 rec_off, std::size_t field) {
+        return records + rec_off + field;
+    };
+    const u64 reloc0 = sec(dbt::ImageSection::Relocs).offset;
+    const u64 dedupe0 = sec(dbt::ImageSection::DedupeIndex).offset;
+    using RH = dbt::ImageRecordHeader;
+    using Sec = dbt::ImageSection;
+
+    struct Case
+    {
+        const char *name;
+        std::function<void(std::vector<u8> &)> damage;
+    };
+    const std::vector<Case> cases = {
+        {"sectionCount",
+         [&](auto &b) {
+             poke<u32>(b, offsetof(dbt::ImageHeader, sectionCount),
+                       dbt::IMAGE_NUM_SECTIONS + 1);
+         }},
+        // PageIndex and BranchProfile contents are not checked, so
+        // damage to their extents is caught by the section table
+        // checks alone.
+        {"section offset misaligned",
+         [&](auto &b) {
+             const dbt::ImageSectionDesc &d = sec(Sec::PageIndex);
+             poke<u64>(b, secField(Sec::PageIndex, OFF), d.offset + 4);
+             poke<u64>(b, secField(Sec::PageIndex, BYTES),
+                       d.bytes - sizeof(dbt::ImagePageHash));
+             poke<u64>(b, secField(Sec::PageIndex, COUNT), d.count - 1);
+         }},
+        {"section overlapping the header",
+         [&](auto &b) { poke<u64>(b, secField(Sec::PageIndex, OFF), 0); }},
+        {"section offset out of order",
+         [&](auto &b) {
+             poke<u64>(b, secField(Sec::BranchProfile, OFF),
+                       sec(Sec::Relocs).offset);
+         }},
+        {"section offset past totalBytes",
+         [&](auto &b) {
+             poke<u64>(b, secField(Sec::BranchProfile, OFF),
+                       h.totalBytes + 8);
+         }},
+        {"byte count vs entry count",
+         [&](auto &b) {
+             poke<u64>(b, secField(Sec::PageIndex, COUNT),
+                       sec(Sec::PageIndex).count + 1);
+         }},
+        {"last section's entry count past the image",
+         [&](auto &b) {
+             poke<u64>(b, secField(Sec::BranchProfile, COUNT),
+                       sec(Sec::BranchProfile).count + 1);
+         }},
+        {"record offset misaligned",
+         [&](auto &b) { poke<u64>(b, rec_index, first_off + 4); }},
+        {"record offset at the section end",
+         [&](auto &b) { poke<u64>(b, rec_index, rec_bytes); }},
+        {"record offset past the section",
+         [&](auto &b) { poke<u64>(b, rec_index, rec_bytes + 8); }},
+        {"record offset far past the image",
+         [&](auto &b) { poke<u64>(b, rec_index, u64{1} << 40); }},
+        {"kind > 1",
+         [&](auto &b) {
+             poke<u8>(b, recField(first_off, offsetof(RH, kind)), 2);
+         }},
+        {"flags > 31",
+         [&](auto &b) {
+             poke<u8>(b, recField(first_off, offsetof(RH, flags)), 32);
+         }},
+        {"nUops == 0",
+         [&](auto &b) {
+             poke<u32>(b, recField(first_off, offsetof(RH, nUops)), 0);
+         }},
+        {"record body past the section",
+         [&](auto &b) {
+             poke<u32>(b, recField(last_off, offsetof(RH, nUops)),
+                       0x00FFFFFF);
+         }},
+        {"chainRecord >= n",
+         [&](auto &b) {
+             poke<u32>(b, recField(first_off, offsetof(RH, chainRecord)),
+                       static_cast<u32>(n));
+         }},
+        {"reloc fromRecord >= n",
+         [&](auto &b) {
+             poke<u32>(b, reloc0 + offsetof(dbt::ImageReloc, fromRecord),
+                       static_cast<u32>(n));
+         }},
+        {"reloc toRecord >= n",
+         [&](auto &b) {
+             poke<u32>(b, reloc0 + offsetof(dbt::ImageReloc, toRecord),
+                       static_cast<u32>(n));
+         }},
+        {"reloc exitSlot >= 2",
+         [&](auto &b) {
+             poke<u32>(b, reloc0 + offsetof(dbt::ImageReloc, exitSlot),
+                       2);
+         }},
+        {"dedupe record >= n",
+         [&](auto &b) {
+             poke<u32>(b,
+                       dedupe0 + offsetof(dbt::ImageDedupeEntry, record),
+                       static_cast<u32>(n));
+         }},
+    };
+
+    // Control: re-sealing an undamaged blob changes nothing.
+    {
+        std::vector<u8> same = blob;
+        reseal(same);
+        EXPECT_EQ(same, blob);
+    }
+    for (const Case &c : cases) {
+        std::vector<u8> bad = blob;
+        c.damage(bad);
+        ASSERT_NE(bad, blob) << c.name;
+        dbt::TransImage out;
+        // Unsealed, the checksum catches it first ...
+        EXPECT_EQ(dbt::TransImage::adopt(bad, out),
+                  dbt::LoadError::Corrupt)
+            << c.name;
+        // ... and re-sealed, the structural check behind it does.
+        reseal(bad);
+        EXPECT_EQ(dbt::TransImage::adopt(bad, out),
+                  dbt::LoadError::Corrupt)
+            << c.name;
+    }
+
+    // Without chains or a branch profile, Records is the last section,
+    // so a record offset at its end would read a header past the
+    // image: only the header-fits check stands in the way.
+    dbt::Repository flat = repo;
+    flat.branchProfile.clear();
+    for (dbt::SavedTranslation &e : flat.entries)
+        e.chains[0] = e.chains[1] = dbt::SavedChain{};
+    std::vector<u8> tail = builtImage(flat);
+    const dbt::ImageHeader th = adopted(tail).header();
+    const dbt::ImageSectionDesc &fr =
+        th.sections[static_cast<u32>(Sec::Records)];
+    ASSERT_EQ(fr.offset + fr.bytes, tail.size());
+    poke<u64>(tail, th.sections[static_cast<u32>(Sec::RecordIndex)].offset,
+              fr.bytes);
+    reseal(tail);
+    dbt::TransImage out;
+    EXPECT_EQ(dbt::TransImage::adopt(tail, out), dbt::LoadError::Corrupt);
 }
 
 // ---------------------------------------------------------------------
