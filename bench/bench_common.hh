@@ -29,6 +29,22 @@
 namespace cdvm::bench
 {
 
+/**
+ * Stat-name and JSON-key form of an engine spec: the spec grammar's
+ * '+' separator becomes '_' ("soft+async2" -> "soft_async2"), since
+ * StatRegistry names allow only [a-z0-9_.].
+ */
+inline std::string
+statKey(std::string_view spec)
+{
+    std::string key(spec);
+    for (char &c : key) {
+        if (c == '+')
+            c = '_';
+    }
+    return key;
+}
+
 /** Parse standard flags; returns the per-app instruction count. */
 inline u64
 standardSetup(Cli &cli, int argc, char **argv, u64 default_insns)

@@ -245,6 +245,7 @@ main(int argc, char **argv)
     double gate_speedup = 0.0;
     bool first = true;
     for (const Point &p : points) {
+        const std::string key = bench::statKey(p.key);
         vmm::VmmConfig fast = p.cfg;
         fast.fastDispatch = true;
         vmm::VmmConfig slow = p.cfg;
@@ -274,7 +275,7 @@ main(int argc, char **argv)
         if (!first)
             std::fprintf(f, ",\n");
         first = false;
-        std::fprintf(f, "  \"%s\": {\n", p.key.c_str());
+        std::fprintf(f, "  \"%s\": {\n", key.c_str());
         if (!legacy_only) {
             jsonRun(f, "fast", rf);
             std::fprintf(f, ",\n");
@@ -282,11 +283,11 @@ main(int argc, char **argv)
         jsonRun(f, "legacy", rl);
         std::fprintf(f, ",\n    \"speedup\": %.4f\n  }", speedup);
 
-        reg.set("bench.host_mips." + p.key + ".fast", rf.mips,
+        reg.set("bench.host_mips." + key + ".fast", rf.mips,
                 "host guest-MIPS, dispatch fast path");
-        reg.set("bench.host_mips." + p.key + ".legacy", rl.mips,
+        reg.set("bench.host_mips." + key + ".legacy", rl.mips,
                 "host guest-MIPS, legacy map-based dispatch");
-        reg.set("bench.host_mips." + p.key + ".speedup", speedup,
+        reg.set("bench.host_mips." + key + ".speedup", speedup,
                 "fast-path speedup over the legacy baseline");
     }
 

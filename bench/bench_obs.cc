@@ -213,6 +213,7 @@ main(int argc, char **argv)
     double gate_overhead = 0.0;
     bool first = true;
     for (const Point &p : points) {
+        const std::string key = bench::statKey(p.key);
         RunStat off, on;
         std::vector<double> pairs =
             measureInterleaved(p.cfg, prog, insns, trials, off, on);
@@ -232,19 +233,19 @@ main(int argc, char **argv)
                      "%s    \"%s\": {\"mips_off\": %.3f, "
                      "\"mips_on\": %.3f, \"overhead_median\": %.5f, "
                      "\"overhead_iqr\": %.5f, \"overhead_min\": %.5f}",
-                     first ? "" : ",\n", p.key.c_str(), off.mips,
+                     first ? "" : ",\n", key.c_str(), off.mips,
                      on.mips, median, iqr, min_overhead);
         first = false;
 
-        reg.set("bench.obs." + p.key + ".mips_off", off.mips,
+        reg.set("bench.obs." + key + ".mips_off", off.mips,
                 "host guest-MIPS, profiling layers off (best trial)");
-        reg.set("bench.obs." + p.key + ".mips_on", on.mips,
+        reg.set("bench.obs." + key + ".mips_on", on.mips,
                 "host guest-MIPS, default-on profiling (best trial)");
-        reg.set("bench.obs." + p.key + ".overhead_median", median,
+        reg.set("bench.obs." + key + ".overhead_median", median,
                 "median per-pair cost of default-on profiling");
-        reg.set("bench.obs." + p.key + ".overhead_iqr", iqr,
+        reg.set("bench.obs." + key + ".overhead_iqr", iqr,
                 "interquartile range of the per-pair cost");
-        reg.set("bench.obs." + p.key + ".overhead_min", min_overhead,
+        reg.set("bench.obs." + key + ".overhead_min", min_overhead,
                 "most favorable interleaved pair (gate metric)");
     }
     std::fprintf(f, "\n  },\n");

@@ -12,13 +12,12 @@ x86::Exit
 TranslatedExecutor::run(x86::CpuState &cpu, Translation *t,
                         InstCount &retired)
 {
-    // Checkpoint for precise-state recovery.
-    const x86::CpuState checkpoint = cpu;
-
+    // The uops run on ustate; cpu keeps the region-entry state until
+    // the registers are written back below, so it is the checkpoint
+    // that precise-state recovery replays from.
     ustate.loadArch(cpu);
     uops::UopExecutor exe(ustate, mem);
     uops::BlockResult br = exe.run(t->code(), t->fallthroughPc);
-    ustate.storeArch(cpu);
 
     const bool is_sbt = t->kind == TransKind::Superblock;
 
@@ -26,7 +25,6 @@ TranslatedExecutor::run(x86::CpuState &cpu, Translation *t,
         // Precise state mapping -- re-execute with the interpreter
         // from the region entry until the fault re-occurs (Fig. 1).
         ++st.preciseStateRecoveries;
-        cpu = checkpoint;
         x86::Interpreter interp(cpu, mem);
         for (unsigned n = 0; n <= t->numX86Insns + 1; ++n) {
             x86::StepResult sr = interp.step();
@@ -42,6 +40,8 @@ TranslatedExecutor::run(x86::CpuState &cpu, Translation *t,
                    "under interpretation",
                    static_cast<unsigned long long>(br.faultX86Pc));
     }
+
+    ustate.storeArch(cpu);
 
     // Count retired x86 instructions: position of the last completed
     // instruction within the region.

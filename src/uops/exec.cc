@@ -48,8 +48,8 @@ UopExecutor::effAddr(const Uop &u) const
     return a;
 }
 
-UopExecutor::Outcome
-UopExecutor::exec(const Uop &u)
+inline UopExecutor::Outcome
+UopExecutor::body(const Uop &u)
 {
     Outcome out;
     ++st.uopCount;
@@ -382,30 +382,35 @@ UopExecutor::exec(const Uop &u)
     return out;
 }
 
+UopExecutor::Outcome
+UopExecutor::exec(const Uop &u)
+{
+    return body(u);
+}
+
 BlockResult
 UopExecutor::run(std::span<const Uop> uops, Addr fallthrough)
 {
     BlockResult res;
     for (std::size_t i = 0; i < uops.size(); ++i) {
-        Outcome o = exec(uops[i]);
-        ++res.uopsRun;
+        const Outcome o = body(uops[i]);
+        if (!(o.fault || o.vmExit || o.taken)) [[likely]]
+            continue;
+        res.uopsRun = static_cast<unsigned>(i + 1);
         if (o.fault) {
             res.exit = BlockExit::Fault;
             res.faultIndex = static_cast<int>(i);
             res.faultX86Pc = uops[i].x86pc;
-            return res;
-        }
-        if (o.vmExit) {
+        } else if (o.vmExit) {
             res.exit = BlockExit::VmExit;
             res.nextPc = uops[i].x86pc;
-            return res;
-        }
-        if (o.taken) {
+        } else {
             res.exit = BlockExit::Branch;
             res.nextPc = o.target;
-            return res;
         }
+        return res;
     }
+    res.uopsRun = static_cast<unsigned>(uops.size());
     res.exit = BlockExit::FallThrough;
     res.nextPc = fallthrough;
     return res;

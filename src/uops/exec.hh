@@ -104,10 +104,16 @@ class UopExecutor
         bool vmExit = false;
     };
 
-    /** Execute one micro-op. */
+    /** Execute one micro-op (single-stepping, as the HAloop does). */
     Outcome exec(const Uop &u);
 
   private:
+    /**
+     * The one micro-op switch. Always inlined: run() expands it in its
+     * block loop and exec() wraps it, so both execute the same body.
+     */
+    [[gnu::always_inline]] inline Outcome body(const Uop &u);
+
     u32 readSized(u8 reg, unsigned size) const;
     Addr effAddr(const Uop &u) const;
 

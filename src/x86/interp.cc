@@ -13,95 +13,6 @@ namespace cdvm::x86
 namespace flags
 {
 
-u32
-trunc(u32 v, unsigned size)
-{
-    switch (size) {
-      case 1: return v & 0xff;
-      case 2: return v & 0xffff;
-      default: return v;
-    }
-}
-
-bool
-signBit(u32 v, unsigned size)
-{
-    return v & (1u << (size * 8 - 1));
-}
-
-namespace
-{
-
-bool
-parityEven(u32 v)
-{
-    v &= 0xff;
-    v ^= v >> 4;
-    v ^= v >> 2;
-    v ^= v >> 1;
-    return !(v & 1);
-}
-
-} // namespace
-
-u32
-zsp(u32 result, unsigned size)
-{
-    u32 f = 0;
-    u32 r = trunc(result, size);
-    if (r == 0)
-        f |= FLAG_ZF;
-    if (signBit(r, size))
-        f |= FLAG_SF;
-    if (parityEven(r))
-        f |= FLAG_PF;
-    return f;
-}
-
-u32
-add(u32 a, u32 b, u32 carry_in, unsigned size, u32 &result)
-{
-    a = trunc(a, size);
-    b = trunc(b, size);
-    u64 wide = static_cast<u64>(a) + b + carry_in;
-    result = trunc(static_cast<u32>(wide), size);
-    u32 f = zsp(result, size);
-    if (wide >> (size * 8))
-        f |= FLAG_CF;
-    const bool sa = signBit(a, size), sb = signBit(b, size),
-               sr = signBit(result, size);
-    if (sa == sb && sr != sa)
-        f |= FLAG_OF;
-    if (((a & 0xf) + (b & 0xf) + carry_in) & 0x10)
-        f |= FLAG_AF;
-    return f;
-}
-
-u32
-sub(u32 a, u32 b, u32 borrow_in, unsigned size, u32 &result)
-{
-    a = trunc(a, size);
-    b = trunc(b, size);
-    u64 wide = static_cast<u64>(a) - b - borrow_in;
-    result = trunc(static_cast<u32>(wide), size);
-    u32 f = zsp(result, size);
-    if (static_cast<u64>(a) < static_cast<u64>(b) + borrow_in)
-        f |= FLAG_CF;
-    const bool sa = signBit(a, size), sb = signBit(b, size),
-               sr = signBit(result, size);
-    if (sa != sb && sr != sa)
-        f |= FLAG_OF;
-    if (((a & 0xf) - (b & 0xf) - borrow_in) & 0x10)
-        f |= FLAG_AF;
-    return f;
-}
-
-u32
-logic(u32 result, unsigned size)
-{
-    return zsp(result, size); // CF = OF = AF = 0
-}
-
 ShiftResult
 shift(Op op, u32 a, u32 count, unsigned size, u32 old_eflags)
 {

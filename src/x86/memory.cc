@@ -6,20 +6,26 @@ namespace cdvm::x86
 {
 
 Memory::Page *
-Memory::getPage(Addr a)
+Memory::getPageSlow(Addr key)
 {
-    Addr key = a >> PAGE_SHIFT;
     auto it = pages.find(key);
     if (it == pages.end())
         it = pages.emplace(key, Page(PAGE_SIZE)).first;
+    cache.slot(key) = {key, &it->second};
     return &it->second;
 }
 
 const Memory::Page *
-Memory::findPage(Addr a) const
+Memory::findPageSlow(Addr key) const
 {
-    auto it = pages.find(a >> PAGE_SHIFT);
-    return it == pages.end() ? nullptr : &it->second;
+    auto it = pages.find(key);
+    if (it == pages.end())
+        return nullptr; // never cached: the page may be created later
+    // The cache hands out the pages this object owns; a const lookup
+    // only ever reads through it (or sets the mutable code bit).
+    Page *p = const_cast<Page *>(&it->second);
+    cache.slot(key) = {key, p};
+    return p;
 }
 
 u8
@@ -33,20 +39,6 @@ u16
 Memory::read16(Addr a) const
 {
     return static_cast<u16>(read8(a) | (read8(a + 1) << 8));
-}
-
-u32
-Memory::read32(Addr a) const
-{
-    // Fast path: fully inside one page.
-    const Page *p = findPage(a);
-    Addr off = a & (PAGE_SIZE - 1);
-    if (p && off + 4 <= PAGE_SIZE) {
-        u32 v;
-        std::memcpy(&v, p->bytes.data() + off, 4);
-        return v;
-    }
-    return static_cast<u32>(read16(a)) | (static_cast<u32>(read16(a + 2)) << 16);
 }
 
 void
@@ -63,21 +55,6 @@ Memory::write16(Addr a, u16 v)
 {
     write8(a, static_cast<u8>(v));
     write8(a + 1, static_cast<u8>(v >> 8));
-}
-
-void
-Memory::write32(Addr a, u32 v)
-{
-    Page *p = getPage(a);
-    Addr off = a & (PAGE_SIZE - 1);
-    if (off + 4 <= PAGE_SIZE) {
-        noteWrite(*p);
-        std::memcpy(p->bytes.data() + off, &v, 4);
-        written += 4;
-        return;
-    }
-    write16(a, static_cast<u16>(v));
-    write16(a + 2, static_cast<u16>(v >> 16));
 }
 
 void

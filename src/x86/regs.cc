@@ -1,39 +1,7 @@
 #include "x86/regs.hh"
 
-#include <cassert>
-
 namespace cdvm::x86
 {
-
-bool
-condTrue(Cond cc, u32 f)
-{
-    const bool cf = f & FLAG_CF;
-    const bool pf = f & FLAG_PF;
-    const bool zf = f & FLAG_ZF;
-    const bool sf = f & FLAG_SF;
-    const bool of = f & FLAG_OF;
-    switch (cc) {
-      case Cond::O: return of;
-      case Cond::NO: return !of;
-      case Cond::B: return cf;
-      case Cond::AE: return !cf;
-      case Cond::E: return zf;
-      case Cond::NE: return !zf;
-      case Cond::BE: return cf || zf;
-      case Cond::A: return !cf && !zf;
-      case Cond::S: return sf;
-      case Cond::NS: return !sf;
-      case Cond::P: return pf;
-      case Cond::NP: return !pf;
-      case Cond::L: return sf != of;
-      case Cond::GE: return sf == of;
-      case Cond::LE: return zf || (sf != of);
-      case Cond::G: return !zf && (sf == of);
-    }
-    assert(false && "bad condition code");
-    return false;
-}
 
 std::string
 regName(Reg r, unsigned size)

@@ -11,6 +11,7 @@
 #define CDVM_X86_REGS_HH
 
 #include <array>
+#include <cassert>
 #include <string>
 
 #include "common/types.hh"
@@ -66,8 +67,40 @@ enum class Cond : u8
     G = 0xf,   //!< greater (!ZF & SF == OF)
 };
 
-/** Evaluate a condition code against an EFLAGS value. */
-bool condTrue(Cond cc, u32 eflags);
+/**
+ * Evaluate a condition code against an EFLAGS value. Inline: the
+ * interpreter's Jcc/SETcc and the micro-op executor's Br/Setcc share
+ * this one definition.
+ */
+inline bool
+condTrue(Cond cc, u32 f)
+{
+    const bool cf = f & FLAG_CF;
+    const bool pf = f & FLAG_PF;
+    const bool zf = f & FLAG_ZF;
+    const bool sf = f & FLAG_SF;
+    const bool of = f & FLAG_OF;
+    switch (cc) {
+      case Cond::O: return of;
+      case Cond::NO: return !of;
+      case Cond::B: return cf;
+      case Cond::AE: return !cf;
+      case Cond::E: return zf;
+      case Cond::NE: return !zf;
+      case Cond::BE: return cf || zf;
+      case Cond::A: return !cf && !zf;
+      case Cond::S: return sf;
+      case Cond::NS: return !sf;
+      case Cond::P: return pf;
+      case Cond::NP: return !pf;
+      case Cond::L: return sf != of;
+      case Cond::GE: return sf == of;
+      case Cond::LE: return zf || (sf != of);
+      case Cond::G: return !zf && (sf == of);
+    }
+    assert(false && "bad condition code");
+    return false;
+}
 
 /** Register name for disassembly, by operand size in bytes (1, 2, 4). */
 std::string regName(Reg r, unsigned size = 4);

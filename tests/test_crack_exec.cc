@@ -3,7 +3,8 @@
  * Cracking + micro-op executor differential tests: for random
  * instruction mixes, executing the cracked micro-ops must produce the
  * same architected state as the reference interpreter, instruction by
- * instruction.
+ * instruction; and single-stepping a cracked block with exec() must
+ * match running it with run().
  */
 
 #include <functional>
@@ -117,6 +118,173 @@ assembleOne(const std::function<void(Assembler &)> &emit)
     return dr.insn;
 }
 
+/**
+ * One random instruction of the differential mix; memory operands
+ * use m, which the caller points into the seeded data window.
+ */
+Insn
+randomInsn(Pcg32 &rng, const MemRef &m)
+{
+    static const Op alu_ops[] = {Op::Add, Op::Or, Op::Adc, Op::Sbb,
+                                 Op::And, Op::Sub, Op::Xor, Op::Cmp};
+
+    unsigned pick = rng.below(20);
+    Insn in;
+    switch (pick) {
+      case 0:
+        in = assembleOne([&](Assembler &a) {
+            a.aluRR(alu_ops[rng.below(8)],
+                    static_cast<Reg>(rng.below(8)),
+                    static_cast<Reg>(rng.below(8)));
+        });
+        break;
+      case 1:
+        in = assembleOne([&](Assembler &a) {
+            a.aluRM(alu_ops[rng.below(8)],
+                    static_cast<Reg>(rng.below(8)), m);
+        });
+        break;
+      case 2:
+        in = assembleOne([&](Assembler &a) {
+            a.aluMR(alu_ops[rng.below(8)], m,
+                    static_cast<Reg>(rng.below(8)));
+        });
+        break;
+      case 3:
+        in = assembleOne([&](Assembler &a) {
+            a.aluMI(alu_ops[rng.below(8)], m,
+                    static_cast<i32>(rng.next()));
+        });
+        break;
+      case 4: { // byte ALU incl. high-byte registers
+        u8 row = static_cast<u8>(rng.below(8));
+        u8 modrm = static_cast<u8>(0xc0 | rng.below(64));
+        in = assembleOne([&](Assembler &a) {
+            a.db(static_cast<u8>(row << 3)); // op r/m8, r8
+            a.db(modrm);
+        });
+        break;
+      }
+      case 5:
+        in = assembleOne([&](Assembler &a) {
+            a.db(0x66);
+            a.aluRR(alu_ops[rng.below(8)],
+                    static_cast<Reg>(rng.below(8)),
+                    static_cast<Reg>(rng.below(8)));
+        });
+        break;
+      case 6:
+        in = assembleOne([&](Assembler &a) {
+            a.movRM(static_cast<Reg>(rng.below(8)), m);
+        });
+        break;
+      case 7:
+        in = assembleOne([&](Assembler &a) {
+            a.movMR(m, static_cast<Reg>(rng.below(8)));
+        });
+        break;
+      case 8:
+        in = assembleOne([&](Assembler &a) {
+            if (rng.chance(0.5))
+                a.movzxM(static_cast<Reg>(rng.below(8)), m,
+                         rng.chance(0.5) ? 1 : 2);
+            else
+                a.movsx(static_cast<Reg>(rng.below(8)),
+                        static_cast<Reg>(rng.below(8)),
+                        rng.chance(0.5) ? 1 : 2);
+        });
+        break;
+      case 9:
+        in = assembleOne([&](Assembler &a) {
+            a.shiftRI(rng.chance(0.5)
+                          ? (rng.chance(0.5) ? Op::Shl : Op::Shr)
+                          : (rng.chance(0.5) ? Op::Sar
+                             : rng.chance(0.5) ? Op::Rol
+                                               : Op::Ror),
+                      static_cast<Reg>(rng.below(8)),
+                      static_cast<u8>(rng.below(40)));
+        });
+        break;
+      case 10:
+        in = assembleOne([&](Assembler &a) {
+            a.shiftRCl(rng.chance(0.5) ? Op::Shl : Op::Sar,
+                       static_cast<Reg>(rng.below(8)));
+        });
+        break;
+      case 11:
+        in = assembleOne([&](Assembler &a) {
+            if (rng.chance(0.5))
+                a.imulRR(static_cast<Reg>(rng.below(8)),
+                         static_cast<Reg>(rng.below(8)));
+            else
+                a.imulRRI(static_cast<Reg>(rng.below(8)),
+                          static_cast<Reg>(rng.below(8)),
+                          static_cast<i32>(rng.next()));
+        });
+        break;
+      case 12:
+        in = assembleOne([&](Assembler &a) {
+            switch (rng.below(4)) {
+              case 0: a.mulA(static_cast<Reg>(rng.below(8))); break;
+              case 1: a.imulA(static_cast<Reg>(rng.below(8))); break;
+              case 2: a.divA(static_cast<Reg>(rng.below(8))); break;
+              default: a.idivA(static_cast<Reg>(rng.below(8))); break;
+            }
+        });
+        break;
+      case 13:
+        in = assembleOne([&](Assembler &a) {
+            if (rng.chance(0.5))
+                a.push(static_cast<Reg>(rng.below(8)));
+            else
+                a.pop(static_cast<Reg>(rng.below(8)));
+        });
+        break;
+      case 14:
+        in = assembleOne([&](Assembler &a) {
+            switch (rng.below(4)) {
+              case 0: a.inc(static_cast<Reg>(rng.below(8))); break;
+              case 1: a.dec(static_cast<Reg>(rng.below(8))); break;
+              case 2: a.notReg(static_cast<Reg>(rng.below(8))); break;
+              default: a.negReg(static_cast<Reg>(rng.below(8))); break;
+            }
+        });
+        break;
+      case 15:
+        in = assembleOne([&](Assembler &a) {
+            a.setcc(static_cast<Cond>(rng.below(16)),
+                    static_cast<Reg>(rng.below(8)));
+        });
+        break;
+      case 16:
+        in = assembleOne([&](Assembler &a) {
+            a.xchg(static_cast<Reg>(rng.below(8)),
+                   static_cast<Reg>(rng.below(8)));
+        });
+        break;
+      case 17:
+        in = assembleOne([&](Assembler &a) { a.cdq(); });
+        break;
+      case 18:
+        in = assembleOne([&](Assembler &a) {
+            a.lea(static_cast<Reg>(rng.below(8)), m);
+        });
+        break;
+      default:
+        in = assembleOne([&](Assembler &a) {
+            if (rng.chance(0.5))
+                a.testRR(static_cast<Reg>(rng.below(8)),
+                         static_cast<Reg>(rng.below(8)));
+            else
+                a.aluRI(alu_ops[rng.below(8)],
+                        static_cast<Reg>(rng.below(8)),
+                        static_cast<i32>(rng.next()));
+        });
+        break;
+    }
+    return in;
+}
+
 class CrackExecRandom : public ::testing::TestWithParam<u64>
 {
 };
@@ -129,9 +297,6 @@ TEST_P(CrackExecRandom, RandomInstructionMix)
     for (Addr a = 0x00800000; a < 0x00800000 + 4096; a += 4)
         mem_template.write32(a, rng.next());
 
-    static const Op alu_ops[] = {Op::Add, Op::Or, Op::Adc, Op::Sbb,
-                                 Op::And, Op::Sub, Op::Xor, Op::Cmp};
-
     for (int iter = 0; iter < 400; ++iter) {
         CpuState start = randomState(rng);
         // Constrain base registers so memory operands land in the
@@ -142,160 +307,7 @@ TEST_P(CrackExecRandom, RandomInstructionMix)
         MemRef m{x86::EBX, rng.chance(0.5) ? x86::ESI : x86::REG_NONE,
                  4, static_cast<i32>(rng.below(1024))};
 
-        unsigned pick = rng.below(20);
-        Insn in;
-        switch (pick) {
-          case 0:
-            in = assembleOne([&](Assembler &a) {
-                a.aluRR(alu_ops[rng.below(8)],
-                        static_cast<Reg>(rng.below(8)),
-                        static_cast<Reg>(rng.below(8)));
-            });
-            break;
-          case 1:
-            in = assembleOne([&](Assembler &a) {
-                a.aluRM(alu_ops[rng.below(8)],
-                        static_cast<Reg>(rng.below(8)), m);
-            });
-            break;
-          case 2:
-            in = assembleOne([&](Assembler &a) {
-                a.aluMR(alu_ops[rng.below(8)], m,
-                        static_cast<Reg>(rng.below(8)));
-            });
-            break;
-          case 3:
-            in = assembleOne([&](Assembler &a) {
-                a.aluMI(alu_ops[rng.below(8)], m,
-                        static_cast<i32>(rng.next()));
-            });
-            break;
-          case 4: { // byte ALU incl. high-byte registers
-            u8 row = static_cast<u8>(rng.below(8));
-            u8 modrm = static_cast<u8>(0xc0 | rng.below(64));
-            in = assembleOne([&](Assembler &a) {
-                a.db(static_cast<u8>(row << 3)); // op r/m8, r8
-                a.db(modrm);
-            });
-            break;
-          }
-          case 5:
-            in = assembleOne([&](Assembler &a) {
-                a.db(0x66);
-                a.aluRR(alu_ops[rng.below(8)],
-                        static_cast<Reg>(rng.below(8)),
-                        static_cast<Reg>(rng.below(8)));
-            });
-            break;
-          case 6:
-            in = assembleOne([&](Assembler &a) {
-                a.movRM(static_cast<Reg>(rng.below(8)), m);
-            });
-            break;
-          case 7:
-            in = assembleOne([&](Assembler &a) {
-                a.movMR(m, static_cast<Reg>(rng.below(8)));
-            });
-            break;
-          case 8:
-            in = assembleOne([&](Assembler &a) {
-                if (rng.chance(0.5))
-                    a.movzxM(static_cast<Reg>(rng.below(8)), m,
-                             rng.chance(0.5) ? 1 : 2);
-                else
-                    a.movsx(static_cast<Reg>(rng.below(8)),
-                            static_cast<Reg>(rng.below(8)),
-                            rng.chance(0.5) ? 1 : 2);
-            });
-            break;
-          case 9:
-            in = assembleOne([&](Assembler &a) {
-                a.shiftRI(rng.chance(0.5)
-                              ? (rng.chance(0.5) ? Op::Shl : Op::Shr)
-                              : (rng.chance(0.5) ? Op::Sar
-                                 : rng.chance(0.5) ? Op::Rol
-                                                   : Op::Ror),
-                          static_cast<Reg>(rng.below(8)),
-                          static_cast<u8>(rng.below(40)));
-            });
-            break;
-          case 10:
-            in = assembleOne([&](Assembler &a) {
-                a.shiftRCl(rng.chance(0.5) ? Op::Shl : Op::Sar,
-                           static_cast<Reg>(rng.below(8)));
-            });
-            break;
-          case 11:
-            in = assembleOne([&](Assembler &a) {
-                if (rng.chance(0.5))
-                    a.imulRR(static_cast<Reg>(rng.below(8)),
-                             static_cast<Reg>(rng.below(8)));
-                else
-                    a.imulRRI(static_cast<Reg>(rng.below(8)),
-                              static_cast<Reg>(rng.below(8)),
-                              static_cast<i32>(rng.next()));
-            });
-            break;
-          case 12:
-            in = assembleOne([&](Assembler &a) {
-                switch (rng.below(4)) {
-                  case 0: a.mulA(static_cast<Reg>(rng.below(8))); break;
-                  case 1: a.imulA(static_cast<Reg>(rng.below(8))); break;
-                  case 2: a.divA(static_cast<Reg>(rng.below(8))); break;
-                  default: a.idivA(static_cast<Reg>(rng.below(8))); break;
-                }
-            });
-            break;
-          case 13:
-            in = assembleOne([&](Assembler &a) {
-                if (rng.chance(0.5))
-                    a.push(static_cast<Reg>(rng.below(8)));
-                else
-                    a.pop(static_cast<Reg>(rng.below(8)));
-            });
-            break;
-          case 14:
-            in = assembleOne([&](Assembler &a) {
-                switch (rng.below(4)) {
-                  case 0: a.inc(static_cast<Reg>(rng.below(8))); break;
-                  case 1: a.dec(static_cast<Reg>(rng.below(8))); break;
-                  case 2: a.notReg(static_cast<Reg>(rng.below(8))); break;
-                  default: a.negReg(static_cast<Reg>(rng.below(8))); break;
-                }
-            });
-            break;
-          case 15:
-            in = assembleOne([&](Assembler &a) {
-                a.setcc(static_cast<Cond>(rng.below(16)),
-                        static_cast<Reg>(rng.below(8)));
-            });
-            break;
-          case 16:
-            in = assembleOne([&](Assembler &a) {
-                a.xchg(static_cast<Reg>(rng.below(8)),
-                       static_cast<Reg>(rng.below(8)));
-            });
-            break;
-          case 17:
-            in = assembleOne([&](Assembler &a) { a.cdq(); });
-            break;
-          case 18:
-            in = assembleOne([&](Assembler &a) {
-                a.lea(static_cast<Reg>(rng.below(8)), m);
-            });
-            break;
-          default:
-            in = assembleOne([&](Assembler &a) {
-                if (rng.chance(0.5))
-                    a.testRR(static_cast<Reg>(rng.below(8)),
-                             static_cast<Reg>(rng.below(8)));
-                else
-                    a.aluRI(alu_ops[rng.below(8)],
-                            static_cast<Reg>(rng.below(8)),
-                            static_cast<i32>(rng.next()));
-            });
-            break;
-        }
+        const Insn in = randomInsn(rng, m);
         checkInsn(in, start, mem_template,
                   "seed " + std::to_string(GetParam()) + " iter " +
                       std::to_string(iter));
@@ -304,6 +316,119 @@ TEST_P(CrackExecRandom, RandomInstructionMix)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrackExecRandom,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+/**
+ * Run a block one micro-op at a time through exec(), mapping each
+ * outcome to a block exit the way run() does.
+ */
+uops::BlockResult
+singleStep(UopExecutor &exe, const uops::UopVec &block, Addr fallthrough)
+{
+    uops::BlockResult res;
+    for (std::size_t i = 0; i < block.size(); ++i) {
+        const UopExecutor::Outcome o = exe.exec(block[i]);
+        ++res.uopsRun;
+        if (o.fault) {
+            res.exit = uops::BlockExit::Fault;
+            res.faultIndex = static_cast<int>(i);
+            res.faultX86Pc = block[i].x86pc;
+            return res;
+        }
+        if (o.vmExit) {
+            res.exit = uops::BlockExit::VmExit;
+            res.nextPc = block[i].x86pc;
+            return res;
+        }
+        if (o.taken) {
+            res.exit = uops::BlockExit::Branch;
+            res.nextPc = o.target;
+            return res;
+        }
+    }
+    res.nextPc = fallthrough;
+    return res;
+}
+
+class CrackExecStepVsRun : public ::testing::TestWithParam<u64>
+{
+};
+
+TEST_P(CrackExecStepVsRun, SingleStepMatchesBlockRun)
+{
+    // exec() and run() share one micro-op body: single-stepping a
+    // cracked block must leave exactly the state a block run leaves.
+    Pcg32 rng(GetParam(), 9);
+    Memory mem_template;
+    for (Addr a = 0x00800000; a < 0x00800000 + 4096; a += 4)
+        mem_template.write32(a, rng.next());
+    const Addr fallthrough = 0x2000;
+
+    for (int iter = 0; iter < 200; ++iter) {
+        CpuState start = randomState(rng);
+        start.regs[x86::EBX] = 0x00800000 + rng.below(512) * 4;
+        start.regs[x86::ESI] = rng.below(200);
+
+        // Up to 8 instructions of the mix, cracked back to back, and
+        // half the time a conditional branch or a hlt to end on.
+        uops::UopVec block;
+        const unsigned n = 1 + rng.below(8);
+        for (unsigned k = 0; k < n; ++k) {
+            MemRef m{x86::EBX, rng.chance(0.5) ? x86::ESI : x86::REG_NONE,
+                     4, static_cast<i32>(rng.below(1024))};
+            const uops::UopVec u = uops::crack(randomInsn(rng, m)).uops;
+            block.insert(block.end(), u.begin(), u.end());
+        }
+        if (rng.chance(0.5)) {
+            const Cond cc = static_cast<Cond>(rng.below(16));
+            const bool halt = rng.chance(0.25);
+            const Insn end = assembleOne([&](Assembler &a) {
+                if (halt) {
+                    a.hlt();
+                } else {
+                    auto l = a.newLabel();
+                    a.jcc(cc, l);
+                    a.nop();
+                    a.bind(l);
+                }
+            });
+            const uops::UopVec u = uops::crack(end).uops;
+            block.insert(block.end(), u.begin(), u.end());
+        }
+
+        Memory mem_run = mem_template;
+        UState st_run;
+        st_run.loadArch(start);
+        UopExecutor exe_run(st_run, mem_run);
+        const uops::BlockResult br = exe_run.run(block, fallthrough);
+
+        Memory mem_step = mem_template;
+        UState st_step;
+        st_step.loadArch(start);
+        UopExecutor exe_step(st_step, mem_step);
+        const uops::BlockResult bs = singleStep(exe_step, block, fallthrough);
+
+        const std::string label = "seed " + std::to_string(GetParam()) +
+                                  " iter " + std::to_string(iter);
+        EXPECT_EQ(static_cast<int>(br.exit), static_cast<int>(bs.exit))
+            << label;
+        EXPECT_EQ(br.nextPc, bs.nextPc) << label;
+        EXPECT_EQ(br.uopsRun, bs.uopsRun) << label;
+        EXPECT_EQ(br.faultIndex, bs.faultIndex) << label;
+        EXPECT_EQ(br.faultX86Pc, bs.faultX86Pc) << label;
+        EXPECT_EQ(st_run.regs, st_step.regs) << label;
+        EXPECT_EQ(st_run.eflags, st_step.eflags) << label;
+        EXPECT_EQ(st_run.uopCount, st_step.uopCount) << label;
+        EXPECT_EQ(mem_run.readBlock(0x00800000, 8192),
+                  mem_step.readBlock(0x00800000, 8192))
+            << label;
+        EXPECT_EQ(mem_run.readBlock(0x7ffeff00, 0x200),
+                  mem_step.readBlock(0x7ffeff00, 0x200))
+            << label;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CrackExecStepVsRun,
+                         ::testing::Values(1, 2, 3));
 
 TEST(CrackExec, BranchesAndCalls)
 {

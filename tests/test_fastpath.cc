@@ -3,7 +3,8 @@
  * Host fast-path tests: the flat translation table (tortured against a
  * std::unordered_map oracle), the dispatch lookaside cache's epoch
  * invalidation, the decoded-instruction cache's coherence with guest
- * code writes, and the fast-vs-legacy dispatch differential.
+ * code writes, the guest-memory page cache's invariants, and the
+ * fast-vs-legacy dispatch differential.
  */
 
 #include <array>
@@ -160,6 +161,108 @@ TEST(DecodeCache, InterpreterSeesCodeRewrite)
         EXPECT_EQ(interp.run(100), Exit::Halted);
     }
     EXPECT_EQ(cpu.regs[EAX], 9u);
+}
+
+// --- guest-memory page cache -----------------------------------------
+
+TEST(MemoryPageCache, CopiesMovesAndAssignmentsStayIndependent)
+{
+    // Each side's page cache was warmed before the copy or move; a
+    // cache carried across would write through into the other
+    // object's pages (or, after an assignment, into freed ones).
+    const Addr x = 0x00800010;
+    Memory a;
+    a.write32(x, 1);
+
+    Memory b = a; // copy
+    b.write32(x, 2);
+    EXPECT_EQ(a.read32(x), 1u);
+    a.write32(x, 3);
+    EXPECT_EQ(b.read32(x), 2u);
+
+    Memory c = std::move(b); // move: c owns b's pages
+    EXPECT_EQ(c.read32(x), 2u);
+    b.write32(x, 4); // the moved-from side is still usable
+    EXPECT_EQ(b.read32(x), 4u);
+    EXPECT_EQ(c.read32(x), 2u);
+
+    // An assignment drops the target's pages; its cache must not
+    // still serve one (y is a page only the target had).
+    const Addr y = x + 3 * Memory::PAGE_SIZE;
+    Memory d;
+    d.write32(x, 5);
+    d.write32(y, 5);
+    d = a; // copy assignment
+    EXPECT_EQ(d.read32(y), 0u);
+    EXPECT_EQ(d.read32(x), 3u);
+    d.write32(x, 6);
+    EXPECT_EQ(a.read32(x), 3u);
+    a.write32(x, 7);
+    EXPECT_EQ(d.read32(x), 6u);
+
+    Memory e;
+    e.write32(x, 8);
+    e.write32(y, 8);
+    e = std::move(d); // move assignment
+    EXPECT_EQ(e.read32(y), 0u);
+    EXPECT_EQ(e.read32(x), 6u);
+    d.write32(x, 9);
+    EXPECT_EQ(d.read32(x), 9u);
+    e.write32(x, 10);
+    EXPECT_EQ(e.read32(x), 10u);
+    EXPECT_EQ(d.read32(x), 9u);
+    EXPECT_EQ(a.read32(x), 7u);
+}
+
+TEST(MemoryPageCache, MissIsNotCached)
+{
+    Memory mem;
+    const Addr x = 0x00900000;
+    EXPECT_EQ(mem.read32(x), 0u); // unallocated: reads as zero
+    EXPECT_EQ(mem.read8(x + 1), 0u);
+    EXPECT_EQ(mem.numPages(), 0u);
+    mem.write32(x, 0xdeadbeef);
+    EXPECT_EQ(mem.read32(x), 0xdeadbeefu);
+    EXPECT_EQ(mem.numPages(), 1u);
+}
+
+TEST(MemoryPageCache, PagesSharingASlotStayApart)
+{
+    // Page numbers 64 apart map to the same direct-mapped slot.
+    Memory mem;
+    const Addr stride = 64 * Memory::PAGE_SIZE;
+    for (u32 i = 0; i < 4; ++i)
+        mem.write32(0x00400000 + i * stride, i + 1);
+    for (u32 i = 0; i < 4; ++i)
+        EXPECT_EQ(mem.read32(0x00400000 + i * stride), i + 1);
+    // A word that straddles two pages goes through both.
+    const Addr edge = 0x00400000 + Memory::PAGE_SIZE - 2;
+    mem.write32(edge, 0xa1b2c3d4);
+    EXPECT_EQ(mem.read32(edge), 0xa1b2c3d4u);
+    EXPECT_EQ(mem.read16(edge + 2), 0xa1b2u);
+}
+
+TEST(MemoryPageCache, WriteThroughCachedCodePageBumpsCodeVersion)
+{
+    Memory mem;
+    Assembler as(0x1000);
+    as.movRI(EAX, 0x11111111); // b8 imm32
+    as.hlt();
+    mem.writeBlock(0x1000, as.finalize());
+
+    DecodeCache dc(64);
+    ASSERT_TRUE(dc.fetchDecode(mem, 0x1000).ok); // marks a code page
+    EXPECT_EQ(mem.read32(0x1001), 0x11111111u); // page now cached
+    const u64 ver = mem.codeVersion();
+
+    mem.write32(0x1001, 0x22222222); // hits the cached page
+    EXPECT_GT(mem.codeVersion(), ver);
+    const DecodeResult &dr = dc.fetchDecode(mem, 0x1000);
+    ASSERT_TRUE(dr.ok);
+    ASSERT_TRUE(dr.insn.src.isImm());
+    EXPECT_EQ(dr.insn.src.imm, 0x22222222);
+    EXPECT_EQ(dc.misses(), 2u); // re-decoded, not served stale
+    EXPECT_EQ(dc.hits(), 0u);
 }
 
 // --- dispatch lookaside ----------------------------------------------

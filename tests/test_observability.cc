@@ -10,6 +10,7 @@
 
 #include <cmath>
 
+#include "bench_common.hh"
 #include "common/statreg.hh"
 #include "common/trace.hh"
 #include "timing/startup_sim.hh"
@@ -38,6 +39,28 @@ TEST(StatRegistry, ScalarSetAddAndValue)
     EXPECT_DOUBLE_EQ(reg.value("vmm.dispatches"), 7.0);
     reg.add("vmm.dispatches", 1.0);
     EXPECT_DOUBLE_EQ(c, 8.0);
+}
+
+TEST(StatRegistry, BenchKeyOfEverySpecIsAValidStatName)
+{
+    // The benches name per-config stats after engine specs; the spec
+    // grammar's '+' is not a stat-name character, so every composed
+    // spec must go through bench::statKey.
+    StatRegistry reg;
+    for (const engine::ColdTier &t : engine::coldTiers()) {
+        for (const char *detector : {"", "+bbb"}) {
+            for (const char *async : {"", "+async2"}) {
+                const std::string spec = t.token + std::string(detector) +
+                                         async;
+                const std::string name =
+                    "bench.host_mips." + bench::statKey(spec) + ".fast";
+                reg.set(name, 1.0, "host guest-MIPS");
+                EXPECT_TRUE(reg.has(name)) << spec;
+            }
+        }
+    }
+    EXPECT_EQ(bench::statKey("soft+bbb+async2"), "soft_bbb_async2");
+    EXPECT_EQ(bench::statKey("vm.soft"), "vm.soft");
 }
 
 TEST(StatRegistry, GaugePullsAtDumpTime)

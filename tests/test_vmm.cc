@@ -77,6 +77,41 @@ TEST(Vmm, PreciseStateOnDivideFault)
     EXPECT_GT(stats.preciseStateRecoveries, 0u);
 }
 
+TEST(Vmm, FaultReplayStartsFromBlockEntryState)
+{
+    // The faulting block reads and updates registers it does not
+    // reinitialize, so replaying it from anything but its entry state
+    // (e.g. registers already written back by the uops) would apply
+    // the add and the inc twice.
+    Assembler as(0x1000);
+    auto body = as.newLabel();
+    as.movRI(EBX, 7);
+    as.movRI(EAX, 100);
+    as.movRI(EDX, 0);
+    as.jmp(body);
+    as.bind(body);
+    as.aluRI(Op::Add, EBX, 1);
+    as.inc(EDI);
+    as.movRI(ECX, 0);
+    as.divA(ECX); // #DE
+    as.hlt();
+    const workload::Program prog = test::snippetProgram(as);
+
+    x86::Memory ref_mem;
+    test::RunResult ref = test::runInterp(prog, ref_mem);
+    ASSERT_EQ(static_cast<int>(ref.exit), static_cast<int>(Exit::Trap));
+
+    vmm::VmmConfig cfg;
+    x86::Memory mem;
+    vmm::VmmStats stats;
+    test::RunResult got = test::runVmm(prog, mem, cfg, &stats);
+    EXPECT_EQ(static_cast<int>(got.exit), static_cast<int>(Exit::Trap));
+    EXPECT_EQ(got.cpu.eip, ref.cpu.eip);
+    EXPECT_TRUE(got.cpu.sameArchState(ref.cpu));
+    EXPECT_EQ(got.cpu.regs[EBX], 8u);
+    EXPECT_GT(stats.preciseStateRecoveries, 0u);
+}
+
 TEST(Vmm, Int3PreciseState)
 {
     Assembler as(0x1000);
