@@ -3,7 +3,6 @@
 #include "common/statreg.hh"
 #include "uops/crack.hh"
 #include "uops/encoding.hh"
-#include "x86/decoder.hh"
 
 namespace cdvm::dbt
 {
@@ -11,16 +10,18 @@ namespace cdvm::dbt
 std::unique_ptr<Translation>
 BasicBlockTranslator::translate(Addr pc)
 {
+    if (!mem.isMapped(pc))
+        return nullptr;
     auto t = std::make_unique<Translation>();
     t->kind = TransKind::BasicBlock;
     t->entryPc = pc;
 
+    scratchUops.clear();
+    scratchPcs.clear();
     Addr cur = pc;
-    u8 window[x86::MAX_INSN_LEN + 1];
+    BlockWindow window(mem, pc);
     for (unsigned n = 0; n < maxInsns; ++n) {
-        mem.fetchWindow(cur, window, sizeof(window));
-        x86::DecodeResult dr =
-            x86::decode(std::span<const u8>(window, sizeof(window)), cur);
+        x86::DecodeResult dr = window.decode(cur);
         if (!dr.ok) {
             // Cut the block before the undecodable bytes; an empty
             // block means the entry itself is bad.
@@ -29,11 +30,9 @@ BasicBlockTranslator::translate(Addr pc)
             break;
         }
         const x86::Insn &in = dr.insn;
-        uops::CrackResult cr = uops::crack(in);
-        t->containsComplex = t->containsComplex || cr.complex;
-        for (uops::Uop &u : cr.uops)
-            t->uops.push_back(u);
-        t->x86pcs.push_back(in.pc);
+        t->containsComplex =
+            uops::crack(in, scratchUops) || t->containsComplex;
+        scratchPcs.push_back(in.pc);
         ++t->numX86Insns;
         t->x86Bytes += in.length;
         cur = in.nextPc();
@@ -49,6 +48,8 @@ BasicBlockTranslator::translate(Addr pc)
     }
 
     t->fallthroughPc = cur;
+    t->uops = scratchUops;
+    t->x86pcs = scratchPcs;
     t->codeBytes = uops::encodedBytes(t->uops);
     ++nBlocks;
     nInsns += t->numX86Insns;

@@ -13,8 +13,10 @@
 #define CDVM_DBT_BBT_HH
 
 #include <memory>
+#include <vector>
 
 #include "dbt/translation.hh"
+#include "x86/decoder.hh"
 #include "x86/memory.hh"
 
 namespace cdvm
@@ -24,6 +26,46 @@ class StatRegistry;
 
 namespace cdvm::dbt
 {
+
+/**
+ * The instruction bytes of one block as a translator forms it. One
+ * fetchWindow of WINDOW_INSNS decode spans serves many decodes, since
+ * fetchWindow's cost is the page walk, not the copy. The window is
+ * refilled from the cursor whenever fewer than a span
+ * (MAX_INSN_LEN + 1 bytes) remain, so every decode sees exactly the
+ * bytes a per-instruction fetch would have seen: holes read as zero.
+ */
+class BlockWindow
+{
+  public:
+    static constexpr std::size_t SPAN = x86::MAX_INSN_LEN + 1;
+    static constexpr std::size_t WINDOW_INSNS = 12;
+
+    BlockWindow(const x86::Memory &memory, Addr entry_pc)
+        : mem(memory), base(entry_pc)
+    {
+        mem.fetchWindow(base, bytes, sizeof(bytes));
+    }
+
+    /** Decode the instruction at pc. Successive pcs must not go
+     *  below the entry pc or the previous pc. */
+    x86::DecodeResult
+    decode(Addr pc)
+    {
+        std::size_t off = static_cast<std::size_t>(pc - base);
+        if (off + SPAN > sizeof(bytes)) {
+            base = pc;
+            mem.fetchWindow(base, bytes, sizeof(bytes));
+            off = 0;
+        }
+        return x86::decode(std::span<const u8>(bytes + off, SPAN), pc);
+    }
+
+  private:
+    const x86::Memory &mem;
+    Addr base;
+    u8 bytes[WINDOW_INSNS * SPAN];
+};
 
 /** Basic block translator. */
 class BasicBlockTranslator
@@ -42,8 +84,8 @@ class BasicBlockTranslator
 
     /**
      * Translate the basic block starting at pc.
-     * @return the translation, or nullptr if the first instruction
-     *         does not decode.
+     * @return the translation, or nullptr if pc lies on an unmapped
+     *         page or the first instruction does not decode.
      */
     std::unique_ptr<Translation> translate(Addr pc);
 
@@ -56,6 +98,11 @@ class BasicBlockTranslator
   private:
     x86::Memory &mem;
     unsigned maxInsns;
+    /** Reusable build buffers: a block is formed here and copied
+     *  into its Translation, so the persistent vectors are
+     *  exact-sized and forming allocates nothing per instruction. */
+    uops::UopVec scratchUops;
+    std::vector<Addr> scratchPcs;
     u64 nBlocks = 0;
     u64 nInsns = 0;
 };

@@ -1,7 +1,6 @@
 #include "dbt/image.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstring>
@@ -168,83 +167,24 @@ expandRecord(const TransImage::RecordView &v)
     return e;
 }
 
-// imageChecksum constants: xxHash64's odd primes for the lane step,
-// murmur3's fmix64 multipliers for the finalizer.
-constexpr u64 SUM_P1 = 0x9E3779B185EBCA87ull;
-constexpr u64 SUM_P2 = 0xC2B2AE3D27D4EB4Full;
-constexpr std::size_t SUM_LANES = 4;
-constexpr std::size_t CHECKSUM_WORD =
-    offsetof(ImageHeader, checksum) / sizeof(u64);
-
-/** One lane step: a bijection of acc for fixed w and of w for fixed
- *  acc (odd multipliers, add and rotate are all invertible). */
-u64
-sumRound(u64 acc, u64 w)
-{
-    return std::rotl(acc + w * SUM_P2, 31) * SUM_P1;
-}
-
-/** murmur3 fmix64: a bijection of k. */
-u64
-fmix64(u64 k)
-{
-    k ^= k >> 33;
-    k *= 0xFF51AFD7ED558CCDull;
-    k ^= k >> 33;
-    k *= 0xC4CEB9FE1A85EC53ull;
-    k ^= k >> 33;
-    return k;
-}
-
 } // namespace
 
 u64
 imageChecksum(std::span<const u8> image)
 {
-    const u8 *p = image.data();
-    const std::size_t n = image.size();
-    const std::size_t words = n / sizeof(u64);
-    u64 lane[SUM_LANES] = {SUM_P1 + SUM_P2, SUM_P2, 0, 0 - SUM_P1};
-
-    // The first block holds the checksum field, which reads as zero.
-    std::size_t i = 0;
-    for (; i < words && i < SUM_LANES; ++i)
-        lane[i] = sumRound(lane[i], i == CHECKSUM_WORD
-                                        ? 0
-                                        : readU64(p + 8 * i));
-    for (; i + SUM_LANES <= words; i += SUM_LANES) {
-        lane[0] = sumRound(lane[0], readU64(p + 8 * i));
-        lane[1] = sumRound(lane[1], readU64(p + 8 * i + 8));
-        lane[2] = sumRound(lane[2], readU64(p + 8 * i + 16));
-        lane[3] = sumRound(lane[3], readU64(p + 8 * i + 24));
-    }
-    for (; i < words; ++i)
-        lane[i % SUM_LANES] =
-            sumRound(lane[i % SUM_LANES], readU64(p + 8 * i));
-
-    // Sub-word tail, zero-extended (a partial checksum field, in a
-    // blob shorter than the header, reads as zero too).
-    u64 tail = 0;
-    if (n % sizeof(u64) && words != CHECKSUM_WORD)
-        std::memcpy(&tail, p + 8 * words, n % sizeof(u64));
-
-    u64 h = 0;
-    for (u64 l : lane)
-        h = fmix64(h ^ l);
-    h = fmix64(h ^ tail);
-    return fmix64(h ^ static_cast<u64>(n));
+    return wordChecksum(image, offsetof(ImageHeader, checksum) /
+                                   sizeof(u64));
 }
 
 u64
 pageSetKey(std::span<const std::pair<Addr, u64>> sorted_pages)
 {
-    std::vector<u8> bytes;
-    bytes.reserve(sorted_pages.size() * 16);
+    u64 h = FNV1A_BASIS;
     for (const auto &[page, hash] : sorted_pages) {
-        putU64(bytes, page);
-        putU64(bytes, hash);
+        const u64 pair[2] = {page, hash};
+        h = fnv1a({reinterpret_cast<const u8 *>(pair), sizeof(pair)}, h);
     }
-    return fnv1a(bytes);
+    return h;
 }
 
 // --- TransImage -----------------------------------------------------

@@ -15,11 +15,11 @@
  *
  * Layout (little-endian, every section 8-aligned):
  *
- *   ImageHeader  magic "CDVMIMG2" | version 3 | section table
+ *   ImageHeader  magic "CDVMIMG2" | version 4 | section table
  *                | whole-image checksum (imageChecksum: the checksum
  *                  field reads as zero while hashing; verified before
  *                  ANY record byte is interpreted)
- *   PageIndex    { guestPage, fnv1a(page content) }*     sorted
+ *   PageIndex    { guestPage, guestPageHash(page) }*     sorted
  *   DedupeIndex  { contentKey, record }*                 sorted
  *   RecordIndex  u64 offset into Records per record, hotness-ranked
  *   Records      ImageRecordHeader | Addr x86pcs[] | uops::Uop body[]
@@ -68,9 +68,11 @@ namespace cdvm::dbt
 
 /** Image file magic ("CDVMIMG2" as a little-endian u64). */
 constexpr u64 IMAGE_MAGIC = 0x32474D494D564443ull;
-/** Image format version. Version 2 images (sealed with a byte-serial
- *  fnv1a checksum) are rejected as BadVersion, not migrated. */
-constexpr u32 IMAGE_VERSION = 3;
+/** Image format version. Older images are rejected as BadVersion, not
+ *  migrated: version 2 was sealed with a byte-serial fnv1a checksum,
+ *  and versions 2 and 3 hash guest pages with byte-serial fnv1a
+ *  instead of wordChecksum. */
+constexpr u32 IMAGE_VERSION = 4;
 
 /** Section order in the image's section table. */
 enum class ImageSection : u32
@@ -117,15 +119,9 @@ static_assert(sizeof(ImageHeader) ==
 static_assert(offsetof(ImageHeader, checksum) == 24);
 
 /**
- * The whole-image integrity seal. Reads image as little-endian 8-byte
- * words with word 3 (the checksum field, bytes 24-31) as zero, spreads
- * them round-robin over 4 independent lanes (acc = rotl(acc + w*P2,
- * 31) * P1, a bijection of acc for fixed w and of w for fixed acc),
- * and folds the lanes, the zero-extended sub-word tail and the byte
- * length through a bijective fmix64 finalizer in sequence. Changing
- * any single word therefore always changes the result. The lanes are
- * independent, so the loop runs at memory speed rather than at one
- * multiply latency per byte.
+ * The whole-image integrity seal: wordChecksum with word 3 (the
+ * checksum field, bytes 24-31) read as zero. Changing any other
+ * single word always changes the result.
  */
 u64 imageChecksum(std::span<const u8> image);
 

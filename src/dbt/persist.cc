@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -32,6 +33,40 @@ idKey(TransId id)
 
 /** Per-thread errno detail behind LoadError::Io (see lastIoErrno). */
 thread_local int last_io_errno = 0;
+
+// wordChecksum constants: xxHash64's odd primes for the lane step,
+// murmur3's fmix64 multipliers for the finalizer.
+constexpr u64 SUM_P1 = 0x9E3779B185EBCA87ull;
+constexpr u64 SUM_P2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::size_t SUM_LANES = 4;
+
+u64
+readWord(const u8 *p)
+{
+    u64 v = 0;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/** One lane step: a bijection of acc for fixed w and of w for fixed
+ *  acc (odd multipliers, add and rotate are all invertible). */
+u64
+sumRound(u64 acc, u64 w)
+{
+    return std::rotl(acc + w * SUM_P2, 31) * SUM_P1;
+}
+
+/** murmur3 fmix64: a bijection of k. */
+u64
+fmix64(u64 k)
+{
+    k ^= k >> 33;
+    k *= 0xFF51AFD7ED558CCDull;
+    k ^= k >> 33;
+    k *= 0xC4CEB9FE1A85EC53ull;
+    k ^= k >> 33;
+    return k;
+}
 
 } // namespace
 
@@ -73,9 +108,8 @@ loadErrorName(LoadError e)
 }
 
 u64
-fnv1a(std::span<const u8> bytes)
+fnv1a(std::span<const u8> bytes, u64 h)
 {
-    u64 h = 0xCBF29CE484222325ull;
     for (u8 b : bytes) {
         h ^= b;
         h *= 0x100000001B3ull;
@@ -84,17 +118,62 @@ fnv1a(std::span<const u8> bytes)
 }
 
 u64
+wordChecksum(std::span<const u8> bytes, std::size_t zero_word)
+{
+    const u8 *p = bytes.data();
+    const std::size_t n = bytes.size();
+    const std::size_t words = n / sizeof(u64);
+    u64 lane[SUM_LANES] = {SUM_P1 + SUM_P2, SUM_P2, 0, 0 - SUM_P1};
+
+    // The first block may hold the zero word.
+    std::size_t i = 0;
+    for (; i < words && i < SUM_LANES; ++i)
+        lane[i] = sumRound(lane[i],
+                           i == zero_word ? 0 : readWord(p + 8 * i));
+    for (; i + SUM_LANES <= words; i += SUM_LANES) {
+        lane[0] = sumRound(lane[0], readWord(p + 8 * i));
+        lane[1] = sumRound(lane[1], readWord(p + 8 * i + 8));
+        lane[2] = sumRound(lane[2], readWord(p + 8 * i + 16));
+        lane[3] = sumRound(lane[3], readWord(p + 8 * i + 24));
+    }
+    for (; i < words; ++i)
+        lane[i % SUM_LANES] =
+            sumRound(lane[i % SUM_LANES], readWord(p + 8 * i));
+
+    // Sub-word tail, zero-extended (a partial zero word, in a blob
+    // shorter than the seal, reads as zero too).
+    u64 tail = 0;
+    if (n % sizeof(u64) && words != zero_word)
+        std::memcpy(&tail, p + 8 * words, n % sizeof(u64));
+
+    u64 h = 0;
+    for (u64 l : lane)
+        h = fmix64(h ^ l);
+    h = fmix64(h ^ tail);
+    return fmix64(h ^ static_cast<u64>(n));
+}
+
+u64
 guestPageHash(const x86::Memory &mem, Addr page)
 {
     std::array<u8, PAGE_BYTES> bytes;
     mem.fetchWindow(page, bytes.data(), bytes.size());
-    return fnv1a(bytes);
+    return wordChecksum(bytes);
 }
 
 std::vector<Addr>
 coveredPages(Addr entry_pc, std::span<const Addr> x86pcs)
 {
     std::vector<Addr> pages;
+    coveredPages(entry_pc, x86pcs, pages);
+    return pages;
+}
+
+void
+coveredPages(Addr entry_pc, std::span<const Addr> x86pcs,
+             std::vector<Addr> &pages)
+{
+    pages.clear();
     auto add = [&pages](Addr page) {
         for (Addr p : pages) {
             if (p == page)
@@ -109,7 +188,6 @@ coveredPages(Addr entry_pc, std::span<const Addr> x86pcs)
         add((pc + x86::MAX_INSN_LEN - 1) & PAGE_MASK);
     }
     add(entry_pc & PAGE_MASK);
-    return pages;
 }
 
 std::vector<Addr>

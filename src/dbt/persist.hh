@@ -13,8 +13,8 @@
  * more captures into the CDVMIMG2 image, which is the only on-disk
  * translation format.
  *
- * Staleness is content-addressed: capture records the fnv1a hash of
- * every guest code page an entry touches, the builder folds them into
+ * Staleness is content-addressed: capture records the content hash
+ * (guestPageHash) of every guest code page an entry touches, the builder folds them into
  * each image record's pageKey, and the installer recomputes that key
  * against current guest memory (the VM silently falls back to cold
  * translation for records whose code changed).
@@ -131,6 +131,11 @@ struct SavedTranslation
 std::vector<Addr> coveredPages(Addr entry_pc,
                                std::span<const Addr> x86pcs);
 
+/** coveredPages into a caller-owned vector (its contents replaced),
+ *  for loops that reuse one buffer. */
+void coveredPages(Addr entry_pc, std::span<const Addr> x86pcs,
+                  std::vector<Addr> &pages);
+
 /** An in-memory capture: what ImageBuilder turns into an image. */
 struct Repository
 {
@@ -140,11 +145,34 @@ struct Repository
     std::vector<SavedBranchStat> branchProfile;
 };
 
-/** FNV-1a over a byte span (the content hash of guest pages, record
- *  pageKeys and dedupe keys; the image seal is imageChecksum). */
-u64 fnv1a(std::span<const u8> bytes);
+/** FNV-1a's offset basis: the state before any byte. */
+constexpr u64 FNV1A_BASIS = 0xCBF29CE484222325ull;
 
-/** fnv1a content hash of one 4K guest code page (staleness unit). */
+/** FNV-1a over a byte span (record pageKeys and dedupe keys). Pass a
+ *  previous result as h to hash a sequence of spans as one. */
+u64 fnv1a(std::span<const u8> bytes, u64 h = FNV1A_BASIS);
+
+/** wordChecksum's zero_word when every word is read. */
+constexpr std::size_t NO_ZERO_WORD = ~std::size_t{0};
+
+/**
+ * Word-parallel checksum: the guest page hash and, through
+ * imageChecksum, the image seal. Reads bytes as little-endian 8-byte
+ * words, with word zero_word (if it is one of the first four) read as
+ * zero so a blob can carry its own seal. Words go round-robin to 4
+ * independent lanes (acc = rotl(acc + w*P2, 31) * P1, a bijection of
+ * acc for fixed w and of w for fixed acc); the lanes, the
+ * zero-extended sub-word tail and the byte length are folded through
+ * a bijective fmix64 finalizer in sequence. Changing any single word
+ * that is read therefore always changes the result. The lanes are
+ * independent, so the loop runs at memory speed rather than at one
+ * multiply latency per byte.
+ */
+u64 wordChecksum(std::span<const u8> bytes,
+                 std::size_t zero_word = NO_ZERO_WORD);
+
+/** wordChecksum content hash of one 4K guest code page (staleness
+ *  unit); every byte of the page is read. */
 u64 guestPageHash(const x86::Memory &mem, Addr page);
 
 /**

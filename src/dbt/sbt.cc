@@ -41,13 +41,10 @@ SuperblockTranslator::translate(const SuperblockTrace &trace)
         if (in.op == x86::Op::Call && ti.takenOnTrace) {
             // Followed call: keep the return-address push, elide the
             // jump (the callee body follows on the trace).
-            uops::CrackResult cr = uops::crack(in);
-            assert(!cr.uops.empty() &&
-                   cr.uops.back().op == uops::UOp::Jmp);
-            cr.uops.pop_back();
-            t->containsComplex = t->containsComplex || cr.complex;
-            for (uops::Uop &u : cr.uops)
-                t->uops.push_back(u);
+            t->containsComplex =
+                uops::crack(in, t->uops) || t->containsComplex;
+            assert(t->uops.back().op == uops::UOp::Jmp);
+            t->uops.pop_back();
             continue;
         }
         if (in.op == x86::Op::Jcc && ti.takenOnTrace) {
@@ -62,10 +59,8 @@ SuperblockTranslator::translate(const SuperblockTrace &trace)
             continue;
         }
 
-        uops::CrackResult cr = uops::crack(in);
-        t->containsComplex = t->containsComplex || cr.complex;
-        for (uops::Uop &u : cr.uops)
-            t->uops.push_back(u);
+        t->containsComplex =
+            uops::crack(in, t->uops) || t->containsComplex;
     }
 
     lastOpt = optimize(t->uops, fusionCfg);

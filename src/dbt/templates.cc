@@ -697,6 +697,8 @@ TemplateTranslator::TemplateTranslator(x86::Memory &m, unsigned max_insns,
 std::unique_ptr<Translation>
 TemplateTranslator::translate(Addr pc)
 {
+    if (!mem.isMapped(pc))
+        return nullptr;
     auto t = std::make_unique<Translation>();
     t->kind = TransKind::BasicBlock;
     t->entryPc = pc;
@@ -706,24 +708,9 @@ TemplateTranslator::translate(Addr pc)
     scratchPcs.clear();
     unsigned block_bytes = 0;
     Addr cur = pc;
-    // fetchWindow's cost is the page-map walk, not the copy, so one
-    // block-sized fetch amortizes what the software BBT pays per
-    // instruction. The window is refilled from the cursor whenever
-    // fewer than MAX_INSN_LEN + 1 bytes remain, so every decode sees
-    // exactly the bytes a per-instruction fetch would have seen.
-    u8 window[12 * (x86::MAX_INSN_LEN + 1)];
-    Addr winBase = pc;
-    mem.fetchWindow(winBase, window, sizeof(window));
+    BlockWindow window(mem, pc);
     for (unsigned n = 0; n < maxInsns; ++n) {
-        size_t off = static_cast<size_t>(cur - winBase);
-        if (off + x86::MAX_INSN_LEN + 1 > sizeof(window)) {
-            winBase = cur;
-            mem.fetchWindow(winBase, window, sizeof(window));
-            off = 0;
-        }
-        x86::DecodeResult dr = x86::decode(
-            std::span<const u8>(window + off, x86::MAX_INSN_LEN + 1),
-            cur);
+        x86::DecodeResult dr = window.decode(cur);
         if (!dr.ok) {
             if (t->numX86Insns == 0)
                 return nullptr;

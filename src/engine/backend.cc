@@ -31,6 +31,8 @@ TemplateBbtBackend::exportStats(StatRegistry &reg,
 std::unique_ptr<Translation>
 XltBbtBackend::translate(Addr pc)
 {
+    if (!mem.isMapped(pc))
+        return nullptr;
     auto t = std::make_unique<Translation>();
     t->kind = TransKind::BasicBlock;
     t->provenance = dbt::TransProvenance::XltBbt;
@@ -56,16 +58,15 @@ XltBbtBackend::translate(Addr pc)
         for (const hwassist::HaLoop::Step &step : r.steps) {
             std::vector<u8> body =
                 mem.readBlock(SCRATCH_BASE + off, step.uopBytes);
-            uops::UopVec v;
+            const std::size_t first = t->uops.size();
             if (!uops::decodeAll(
-                    std::span<const u8>(body.data(), body.size()), v))
+                    std::span<const u8>(body.data(), body.size()),
+                    t->uops))
                 cdvm_fatal("XLTx86 emitted an undecodable micro-op "
                            "body at x86 pc 0x%llx",
                            static_cast<unsigned long long>(cur));
-            for (uops::Uop &u : v) {
-                u.x86pc = cur;
-                t->uops.push_back(u);
-            }
+            for (std::size_t k = first; k < t->uops.size(); ++k)
+                t->uops[k].x86pc = cur;
             t->x86pcs.push_back(cur);
             ++t->numX86Insns;
             t->x86Bytes += step.insnLen;
@@ -89,10 +90,8 @@ XltBbtBackend::translate(Addr pc)
                 break;
             }
             const x86::Insn &in = dr.insn;
-            uops::CrackResult cr = uops::crack(in);
-            t->containsComplex = t->containsComplex || cr.complex;
-            for (uops::Uop &u : cr.uops)
-                t->uops.push_back(u);
+            t->containsComplex =
+                uops::crack(in, t->uops) || t->containsComplex;
             t->x86pcs.push_back(in.pc);
             ++t->numX86Insns;
             t->x86Bytes += in.length;
@@ -119,10 +118,8 @@ XltBbtBackend::translate(Addr pc)
             }
             ++st.xltComplexFallbacks;
             const x86::Insn &in = dr.insn;
-            uops::CrackResult cr = uops::crack(in);
-            t->containsComplex = t->containsComplex || cr.complex;
-            for (uops::Uop &u : cr.uops)
-                t->uops.push_back(u);
+            t->containsComplex =
+                uops::crack(in, t->uops) || t->containsComplex;
             t->x86pcs.push_back(in.pc);
             ++t->numX86Insns;
             t->x86Bytes += in.length;

@@ -59,8 +59,8 @@ CodeCacheManager::install(std::unique_ptr<Translation> t)
     // so only the arena reservation (flush dynamics, timing realism)
     // is kept and the encode+copy is skipped entirely.
     if (!t->mappedBody()) {
-        std::vector<u8> bytes = uops::encode(t->uops);
-        mem.writeBlock(at, bytes);
+        uops::encode(t->uops, encodeBuf);
+        mem.writeBlock(at, encodeBuf);
     }
     res.trans = map.insert(std::move(t));
     return res;

@@ -17,6 +17,7 @@
 #define CDVM_ENGINE_CACHE_MGR_HH
 
 #include <memory>
+#include <vector>
 
 #include "dbt/codecache.hh"
 #include "dbt/lookup.hh"
@@ -83,6 +84,8 @@ class CodeCacheManager
     dbt::TranslationMap map;
     dbt::CodeCache bbtCc;
     dbt::CodeCache sbtCc;
+    /** Encoded body staged for the arena write (reused per install). */
+    std::vector<u8> encodeBuf;
 };
 
 } // namespace cdvm::engine

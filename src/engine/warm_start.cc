@@ -57,12 +57,16 @@ warmStartInstall(const dbt::TransImage &img, const x86::Memory &mem,
     };
 
     std::vector<TransId> record_ids(img.recordCount());
+    // Per-record scratch, reused across records.
+    std::vector<Addr> covered;
+    std::vector<std::pair<Addr, u64>> pages;
     for (std::size_t i = 0; i < img.recordCount(); ++i) {
         const dbt::TransImage::RecordView v = img.record(i);
         const dbt::ImageRecordHeader &rh = *v.hdr;
 
-        std::vector<std::pair<Addr, u64>> pages;
-        for (Addr page : dbt::coveredPages(rh.entryPc, v.x86pcs))
+        dbt::coveredPages(rh.entryPc, v.x86pcs, covered);
+        pages.clear();
+        for (Addr page : covered)
             pages.emplace_back(page, hashOf(page));
         std::sort(pages.begin(), pages.end());
         if (dbt::pageSetKey(pages) != rh.pageKey) {

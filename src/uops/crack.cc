@@ -15,27 +15,33 @@ using x86::Operand;
 namespace
 {
 
-/** Crack-time emitter with per-instruction temp allocation. */
+/**
+ * Crack-time emitter with per-instruction temp allocation. It appends
+ * to a caller-owned vector; `start` is where this instruction's
+ * micro-ops begin, and nothing before it is read or rewritten.
+ */
 class Cracker
 {
   public:
-    explicit Cracker(const Insn &insn) : in(insn) {}
+    Cracker(const Insn &insn, UopVec &dest)
+        : in(insn), out(dest), start(dest.size())
+    {
+    }
 
-    CrackResult
+    bool
     run()
     {
         crackInsn();
-        for (Uop &u : out)
+        const std::span<Uop> mine(out.data() + start, out.size() - start);
+        for (Uop &u : mine)
             u.x86pc = in.pc;
-        CrackResult res;
-        res.complex = in.isComplex() || encodedBytes(out) > 16;
-        res.uops = std::move(out);
-        return res;
+        return in.isComplex() || encodedBytes(mine) > 16;
     }
 
   private:
     const Insn &in;
-    UopVec out;
+    UopVec &out;
+    const std::size_t start;
     u8 next_temp = R_T0;
 
     u8
@@ -220,7 +226,7 @@ class Cracker
     void
     foldImmediate(Uop &alu)
     {
-        if (out.size() < 2)
+        if (out.size() - start < 2)
             return;
         Uop &prev = out[out.size() - 2];
         if (prev.op != UOp::Limm || prev.dst != alu.src2)
@@ -532,8 +538,9 @@ class Cracker
             add.dst = R_ESP;
             add.src1 = R_ESP;
             add.hasImm = true;
-            add.imm = 4 + static_cast<i32>(in.src.isImm() ? in.src.imm
-                                                          : 0);
+            // Wraps like the 32-bit add it models (no signed overflow).
+            add.imm = static_cast<i32>(
+                4u + static_cast<u32>(in.src.isImm() ? in.src.imm : 0));
             Uop &j = emit(UOp::Jr);
             j.src1 = t;
             return;
@@ -565,22 +572,26 @@ class Cracker
 
 } // namespace
 
+bool
+crack(const Insn &in, UopVec &out)
+{
+    return Cracker(in, out).run();
+}
+
 CrackResult
 crack(const Insn &in)
 {
-    return Cracker(in).run();
+    CrackResult res;
+    res.complex = crack(in, res.uops);
+    return res;
 }
 
 CrackResult
 crackAll(const std::vector<Insn> &insns)
 {
     CrackResult all;
-    for (const Insn &in : insns) {
-        CrackResult one = crack(in);
-        all.complex = all.complex || one.complex;
-        for (Uop &u : one.uops)
-            all.uops.push_back(u);
-    }
+    for (const Insn &in : insns)
+        all.complex = crack(in, all.uops) || all.complex;
     return all;
 }
 

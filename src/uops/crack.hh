@@ -32,7 +32,15 @@ struct CrackResult
     bool complex = false;
 };
 
-/** Crack one decoded instruction. */
+/**
+ * Crack one decoded instruction, appending its micro-ops to out.
+ * Micro-ops already in out are left untouched: no rewrite (such as
+ * immediate folding) reaches across the instruction boundary.
+ * @return the instruction's complex flag (see CrackResult::complex).
+ */
+bool crack(const x86::Insn &in, UopVec &out);
+
+/** Crack one decoded instruction into a fresh vector. */
 CrackResult crack(const x86::Insn &in);
 
 /** Crack a straight-line sequence, concatenating the micro-ops. */

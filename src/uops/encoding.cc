@@ -386,13 +386,18 @@ std::vector<u8>
 encode(std::span<const Uop> v)
 {
     std::vector<u8> out;
-    out.reserve(v.size() * 4);
-    u8 buf[MAX_UOP_BYTES];
-    for (const Uop &u : v) {
-        unsigned n = encodeOne(u, buf);
-        out.insert(out.end(), buf, buf + n);
-    }
+    encode(v, out);
     return out;
+}
+
+void
+encode(std::span<const Uop> v, std::vector<u8> &out)
+{
+    out.resize(v.size() * MAX_UOP_BYTES);
+    std::size_t n = 0;
+    for (const Uop &u : v)
+        n += encodeOne(u, out.data() + n);
+    out.resize(n);
 }
 
 bool

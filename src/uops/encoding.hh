@@ -45,6 +45,10 @@ unsigned decodeOne(std::span<const u8> window, Uop &out);
 /** Encode a whole sequence. */
 std::vector<u8> encode(std::span<const Uop> v);
 
+/** Encode a whole sequence into out, replacing its contents (its
+ *  capacity is kept, so a reused buffer stops allocating). */
+void encode(std::span<const Uop> v, std::vector<u8> &out);
+
 /**
  * Decode a whole buffer (must contain exactly a sequence of micro-ops).
  * @return true on success.

@@ -77,6 +77,9 @@ class Memory
      */
     void fetchWindow(Addr a, u8 *out, std::size_t n) const;
 
+    /** True if the page holding a has been allocated. */
+    bool isMapped(Addr a) const { return findPage(a) != nullptr; }
+
     /**
      * Instruction fetch for the decode cache: like fetchWindow, but
      * additionally marks the touched pages as *code pages*. Writes to

@@ -6,11 +6,13 @@
 #ifndef CDVM_TESTS_HELPERS_HH
 #define CDVM_TESTS_HELPERS_HH
 
+#include <span>
 #include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "uops/uop.hh"
 #include "vmm/vmm.hh"
 #include "workload/program_gen.hh"
 #include "x86/asm.hh"
@@ -104,6 +106,30 @@ sameOutcome(const workload::Program &prog, const RunResult &ref,
         return ::testing::AssertionSuccess();
     return ::testing::AssertionFailure() << "outcome mismatch:"
                                          << why.str();
+}
+
+/** Field-by-field micro-op sequence equality (x86pc included). */
+inline ::testing::AssertionResult
+sameUops(std::span<const uops::Uop> a, std::span<const uops::Uop> b)
+{
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure()
+               << "uop count " << a.size() << " vs " << b.size();
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const uops::Uop &x = a[i];
+        const uops::Uop &y = b[i];
+        if (x.op != y.op || x.dst != y.dst || x.src1 != y.src1 ||
+            x.src2 != y.src2 || x.size != y.size ||
+            x.scale != y.scale || x.cond != y.cond ||
+            x.hasImm != y.hasImm || x.imm != y.imm ||
+            x.writeFlags != y.writeFlags ||
+            x.fusedHead != y.fusedHead || x.target != y.target ||
+            x.x86pc != y.x86pc)
+            return ::testing::AssertionFailure()
+                   << "uop " << i << ": " << x.toString() << " vs "
+                   << y.toString();
+    }
+    return ::testing::AssertionSuccess();
 }
 
 /** Assemble a single snippet at a fixed origin and load it. */

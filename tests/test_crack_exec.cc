@@ -4,14 +4,18 @@
  * instruction mixes, executing the cracked micro-ops must produce the
  * same architected state as the reference interpreter, instruction by
  * instruction; and single-stepping a cracked block with exec() must
- * match running it with run().
+ * match running it with run(); and cracking appends to a block
+ * without touching what is already in it.
  */
 
 #include <functional>
 
 #include <gtest/gtest.h>
 
+#include "helpers.hh"
+
 #include "common/random.hh"
+#include "dbt/bbt.hh"
 #include "uops/crack.hh"
 #include "uops/encoding.hh"
 #include "uops/exec.hh"
@@ -525,6 +529,83 @@ TEST(CrackExec, ComplexClassification)
     EXPECT_TRUE(crackOf({0x0f, 0xa2}).complex);  // cpuid
     EXPECT_FALSE(crackOf({0x01, 0xc1}).complex); // add
     EXPECT_FALSE(crackOf({0x8b, 0x03}).complex); // mov eax,[ebx]
+}
+
+TEST(CrackAppend, PrefixStaysAndSuffixIsTheFreshCrack)
+{
+    // crack(in, out) leaves what out already holds untouched and
+    // appends exactly crack(in).uops, with the same complex flag.
+    auto check = [](const Insn &before, const Insn &in,
+                    const std::string &label) {
+        uops::UopVec out = uops::crack(before).uops;
+        ASSERT_FALSE(out.empty()) << label;
+        const uops::UopVec prefix = out;
+        const uops::CrackResult fresh = uops::crack(in);
+        const bool complex = uops::crack(in, out);
+        EXPECT_EQ(complex, fresh.complex) << label;
+        ASSERT_EQ(out.size(), prefix.size() + fresh.uops.size()) << label;
+        const std::span<const uops::Uop> all(out);
+        EXPECT_TRUE(test::sameUops(all.first(prefix.size()), prefix))
+            << label;
+        EXPECT_TRUE(test::sameUops(all.subspan(prefix.size()), fresh.uops))
+            << label;
+    };
+
+    for (u64 seed : {1, 2, 3, 4, 5}) {
+        Pcg32 rng(seed, 13);
+        for (int iter = 0; iter < 200; ++iter) {
+            const MemRef m{x86::EBX,
+                           rng.chance(0.5) ? x86::ESI : x86::REG_NONE, 4,
+                           static_cast<i32>(rng.below(1024))};
+            const Insn before = randomInsn(rng, m);
+            const Insn in = randomInsn(rng, m);
+            check(before, in,
+                  "seed " + std::to_string(seed) + " iter " +
+                      std::to_string(iter));
+        }
+    }
+
+    // A prefix ending in the Limm of `mov r, imm`, then an ALU op
+    // reading r: the shape an immediate fold could reach back into.
+    for (unsigned r = 0; r < x86::NUM_REGS; ++r) {
+        const Reg reg = static_cast<Reg>(r);
+        const Insn mov =
+            assembleOne([&](Assembler &a) { a.movRI(reg, 5); });
+        const Insn add = assembleOne(
+            [&](Assembler &a) { a.aluRR(Op::Add, x86::EBX, reg); });
+        check(mov, add, std::string("mov/add ") + x86::regName(reg));
+    }
+}
+
+TEST(CrackAppend, ImmediateFoldStaysInsideItsInstruction)
+{
+    // mov eax, 5 cracks to a Limm of eax. The add in the same block
+    // reads eax as its second source, but the Limm belongs to the
+    // previous instruction: folding it into the add would drop the
+    // write of eax.
+    Assembler as(0x1000);
+    as.movRI(x86::EAX, 5);
+    as.aluRR(Op::Add, x86::EBX, x86::EAX);
+    as.hlt();
+    const std::vector<u8> code = as.finalize();
+    Memory mem;
+    mem.writeBlock(0x1000, code);
+    dbt::BasicBlockTranslator bbt(mem);
+    const std::unique_ptr<dbt::Translation> t = bbt.translate(0x1000);
+    ASSERT_TRUE(t);
+    ASSERT_EQ(t->numX86Insns, 3u);
+
+    CpuState start;
+    start.regs[x86::EAX] = 0x1234;
+    start.regs[x86::EBX] = 10;
+    UState ust;
+    ust.loadArch(start);
+    UopExecutor exe(ust, mem);
+    exe.run(t->uops, t->fallthroughPc);
+    CpuState end = start;
+    ust.storeArch(end);
+    EXPECT_EQ(end.regs[x86::EAX], 5u);
+    EXPECT_EQ(end.regs[x86::EBX], 15u);
 }
 
 } // namespace

@@ -34,6 +34,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "dbt/image.hh"
 #include "engine/cache_mgr.hh"
 #include "engine/warm_start.hh"
@@ -682,41 +683,70 @@ TEST(Image, FutureVersionsRejected)
 
 TEST(Image, PreviousVersionRejected)
 {
-    // A version-2 image (the retired fnv1a-sealed format) with a
-    // valid seal is rejected on its version, never parsed, and a VM
-    // pointed at one boots cold.
+    // A version-2 image (the retired fnv1a-sealed format) or a
+    // version-3 one (fnv1a page hashes) with a valid seal is rejected
+    // on its version, never parsed, and a VM pointed at one boots
+    // cold.
     const workload::Program prog = testProgram();
     x86::Memory pmem;
-    std::vector<u8> blob = builtImage(capturedRepo(prog, pmem));
-    poke<u32>(blob, offsetof(dbt::ImageHeader, version), 2);
-    reseal(blob);
-    dbt::TransImage img;
-    EXPECT_EQ(dbt::TransImage::adopt(blob, img),
-              dbt::LoadError::BadVersion);
+    const std::vector<u8> current = builtImage(capturedRepo(prog, pmem));
+    for (u32 version : {2u, 3u}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        std::vector<u8> blob = current;
+        poke<u32>(blob, offsetof(dbt::ImageHeader, version), version);
+        reseal(blob);
+        dbt::TransImage img;
+        EXPECT_EQ(dbt::TransImage::adopt(blob, img),
+                  dbt::LoadError::BadVersion);
 
-    const std::string path = tempPath("image_v2.cdvmimg");
-    ASSERT_TRUE(dbt::TransImage::save(path, blob));
-    EXPECT_EQ(dbt::TransImage::load(path, img),
-              dbt::LoadError::BadVersion);
+        const std::string path =
+            tempPath(("image_v" + std::to_string(version) + ".cdvmimg")
+                         .c_str());
+        ASSERT_TRUE(dbt::TransImage::save(path, blob));
+        EXPECT_EQ(dbt::TransImage::load(path, img),
+                  dbt::LoadError::BadVersion);
 
-    // Architected state matches the interpreter's, and the run is
-    // exactly a cold boot (CpuState::icount is compared with a cold
-    // VM: the VM's count may differ from the interpreter's).
-    vmm::VmmConfig cfg = cfgSoft();
-    cfg.warmStartLoadPath = path;
-    x86::Memory mem, ref_mem, cold_mem;
-    vmm::VmmStats st, cold_st;
-    const RunResult got = runVmm(prog, mem, cfg, &st);
-    const RunResult ref = runInterp(prog, ref_mem);
-    const RunResult cold = runVmm(prog, cold_mem, cfgSoft(), &cold_st);
-    EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, got, mem));
-    EXPECT_EQ(got.retired, cold.retired);
-    EXPECT_EQ(st.warmLoaded, 0u);
-    EXPECT_EQ(st.warmInstalled, 0u);
-    EXPECT_EQ(st.warmMappedBytes, 0u);
-    EXPECT_EQ(st.bbtTranslations, cold_st.bbtTranslations);
-    EXPECT_GT(st.bbtTranslations, 0u);
-    std::remove(path.c_str());
+        // Architected state matches the interpreter's, and the run is
+        // exactly a cold boot (CpuState::icount is compared with a
+        // cold VM: the VM's count may differ from the interpreter's).
+        vmm::VmmConfig cfg = cfgSoft();
+        cfg.warmStartLoadPath = path;
+        x86::Memory mem, ref_mem, cold_mem;
+        vmm::VmmStats st, cold_st;
+        const RunResult got = runVmm(prog, mem, cfg, &st);
+        const RunResult ref = runInterp(prog, ref_mem);
+        const RunResult cold = runVmm(prog, cold_mem, cfgSoft(), &cold_st);
+        EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, got, mem));
+        EXPECT_EQ(got.retired, cold.retired);
+        EXPECT_EQ(st.warmLoaded, 0u);
+        EXPECT_EQ(st.warmInstalled, 0u);
+        EXPECT_EQ(st.warmMappedBytes, 0u);
+        EXPECT_EQ(st.bbtTranslations, cold_st.bbtTranslations);
+        EXPECT_GT(st.bbtTranslations, 0u);
+        std::remove(path.c_str());
+    }
+}
+
+TEST(Image, EveryPageByteFlipChangesPageHash)
+{
+    // guestPageHash reads every byte of the page: unlike the image
+    // seal, no word (bytes 24-31 included) is read as zero.
+    const Addr page = 0x400000;
+    x86::Memory mem;
+    Pcg32 rng(5, 1);
+    for (Addr a = page; a < page + 4096; a += 4)
+        mem.write32(a, rng.next());
+    const u64 base = dbt::guestPageHash(mem, page);
+    for (Addr a = page; a < page + 4096; ++a) {
+        const u8 was = mem.read8(a);
+        for (u8 flip : {u8{0x01}, u8{0x80}, u8{0xff}}) {
+            mem.write8(a, was ^ flip);
+            EXPECT_NE(dbt::guestPageHash(mem, page), base)
+                << "byte " << (a - page) << " ^ " << int{flip};
+        }
+        mem.write8(a, was);
+    }
+    EXPECT_EQ(dbt::guestPageHash(mem, page), base);
 }
 
 // ---------------------------------------------------------------------

@@ -19,6 +19,8 @@
  *      and the coverage ablation knob.
  */
 
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "helpers.hh"
@@ -26,7 +28,9 @@
 #include "common/random.hh"
 #include "dbt/templates.hh"
 #include "uops/crack.hh"
+#include "uops/encoding.hh"
 #include "uops/exec.hh"
+#include "x86/decoder.hh"
 #include "x86/form.hh"
 
 namespace cdvm
@@ -36,6 +40,7 @@ namespace
 
 using dbt::TemplateRule;
 using dbt::TemplateRuleTable;
+using test::sameUops;
 using uops::UopExecutor;
 using uops::UState;
 using x86::Cond;
@@ -207,29 +212,6 @@ sweepInsns(const TemplateRule &r, bool small_values)
             out.push_back(in);
     }
     return out;
-}
-
-::testing::AssertionResult
-sameUops(const uops::UopVec &a, const uops::UopVec &b)
-{
-    if (a.size() != b.size())
-        return ::testing::AssertionFailure()
-               << "uop count " << a.size() << " vs " << b.size();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const uops::Uop &x = a[i];
-        const uops::Uop &y = b[i];
-        if (x.op != y.op || x.dst != y.dst || x.src1 != y.src1 ||
-            x.src2 != y.src2 || x.size != y.size ||
-            x.scale != y.scale || x.cond != y.cond ||
-            x.hasImm != y.hasImm || x.imm != y.imm ||
-            x.writeFlags != y.writeFlags ||
-            x.fusedHead != y.fusedHead || x.target != y.target ||
-            x.x86pc != y.x86pc)
-            return ::testing::AssertionFailure()
-                   << "uop " << i << ": " << x.toString() << " vs "
-                   << y.toString();
-    }
-    return ::testing::AssertionSuccess();
 }
 
 TEST(TemplateRules, TableIsSubstantial)
@@ -434,6 +416,107 @@ TEST(TemplateTranslator, ProvenanceFallbackAndCoverage)
                   static_cast<int>(dbt::TransProvenance::SwBbt));
         EXPECT_EQ(tx.templatedBlocks(), 0u);
         EXPECT_GT(tx.fallbackBlocks(), 0u);
+    }
+}
+
+/** A block formed the per-instruction way. */
+struct RefBlock
+{
+    uops::UopVec uops;
+    std::vector<Addr> x86pcs;
+    u32 codeBytes = 0;
+    Addr fallthroughPc = 0;
+};
+
+/**
+ * Reference block former: for each instruction a fresh
+ * MAX_INSN_LEN + 1 byte fetch, a decode and a crack into a fresh
+ * vector. No block at all for an entry pc on an unmapped page.
+ */
+std::optional<RefBlock>
+referenceBlock(const Memory &mem, Addr pc, unsigned max_insns)
+{
+    if (!mem.isMapped(pc))
+        return std::nullopt;
+    RefBlock b;
+    Addr cur = pc;
+    for (unsigned n = 0; n < max_insns; ++n) {
+        u8 window[x86::MAX_INSN_LEN + 1];
+        mem.fetchWindow(cur, window, sizeof(window));
+        const x86::DecodeResult dr = x86::decode(
+            std::span<const u8>(window, sizeof(window)), cur);
+        if (!dr.ok) {
+            if (n == 0)
+                return std::nullopt;
+            break;
+        }
+        const uops::UopVec u = uops::crack(dr.insn).uops;
+        b.uops.insert(b.uops.end(), u.begin(), u.end());
+        b.x86pcs.push_back(cur);
+        cur = dr.insn.nextPc();
+        if (dr.insn.isCti())
+            break;
+    }
+    b.codeBytes = uops::encodedBytes(b.uops);
+    b.fallthroughPc = cur;
+    return b;
+}
+
+TEST(BlockWindow, RefillsMatchPerInstructionFetch)
+{
+    // Twenty 15-byte instructions (four ignored segment prefixes on a
+    // disp32+imm32 store or rmw) fill the last 296 bytes of a mapped
+    // page: a block runs past the 192-byte window, its last
+    // instruction straddles into the unmapped page after it, and the
+    // block goes on through the hole's zero bytes (add [eax], al).
+    const Addr hole = 0x11000;
+    const Addr origin = hole - 296;
+    x86::Assembler as(origin);
+    std::vector<Addr> starts;
+    for (int i = 0; i < 20; ++i) {
+        starts.push_back(as.here());
+        for (int p = 0; p < 4; ++p)
+            as.db(0x3e);
+        const MemRef m{x86::EBX, x86::ESI, 4, 0x12340 + 4 * i};
+        if (i % 3 == 2)
+            as.aluMI(Op::Add, m, 0x55667788 + i);
+        else
+            as.movMI(m, 0x11223344 + i);
+        ASSERT_EQ(as.here() - starts.back(), 15u) << "insn " << i;
+    }
+    const std::vector<u8> code = as.finalize();
+    Memory mem;
+    mem.writeBlock(origin,
+                   std::span<const u8>(code.data(), hole - origin));
+    ASSERT_FALSE(mem.isMapped(hole));
+
+    const unsigned max_insns = 64;
+    dbt::BasicBlockTranslator sw(mem, max_insns);
+    dbt::TemplateTranslator tm(mem, max_insns, 100);
+    std::vector<Addr> entries = starts;
+    entries.push_back(origin + 1); // mid-instruction entry
+    for (Addr pc : entries) {
+        const std::optional<RefBlock> ref =
+            referenceBlock(mem, pc, max_insns);
+        ASSERT_TRUE(ref) << std::hex << pc;
+        ASSERT_GT(ref->fallthroughPc, hole) << std::hex << pc;
+        const std::unique_ptr<dbt::Translation> got[] = {
+            sw.translate(pc), tm.translate(pc)};
+        for (const std::unique_ptr<dbt::Translation> &t : got) {
+            ASSERT_TRUE(t) << std::hex << pc;
+            EXPECT_TRUE(sameUops(t->uops, ref->uops)) << std::hex << pc;
+            EXPECT_EQ(t->x86pcs, ref->x86pcs) << std::hex << pc;
+            EXPECT_EQ(t->codeBytes, ref->codeBytes) << std::hex << pc;
+            EXPECT_EQ(t->fallthroughPc, ref->fallthroughPc)
+                << std::hex << pc;
+        }
+    }
+
+    // An entry pc on an unmapped page has no block.
+    for (Addr pc : {hole, hole + 0x800}) {
+        EXPECT_FALSE(referenceBlock(mem, pc, max_insns));
+        EXPECT_EQ(sw.translate(pc), nullptr) << std::hex << pc;
+        EXPECT_EQ(tm.translate(pc), nullptr) << std::hex << pc;
     }
 }
 
