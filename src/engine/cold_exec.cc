@@ -12,25 +12,26 @@ DirectColdExecutor::execute(x86::CpuState &cpu, InstCount budget,
 {
     // Execute one dynamic basic block's worth of instructions
     // directly. Functionally identical across strategies; profiled
-    // and accounted differently by the hooks.
+    // and accounted differently by the block hook, which is charged
+    // once per block.
     u64 block_insns = 0;
+    x86::Exit exit = x86::Exit::None;
     x86::Interpreter interp(cpu, mem, dcache.get());
-    for (InstCount n = 0; n < budget; ++n) {
-        x86::StepResult sr = interp.step();
+    while (block_insns < budget) {
+        const x86::StepResult sr = interp.step();
         if (sr.exit != x86::Exit::None) {
-            onBlockDone(block_insns);
-            return sr.exit;
+            exit = sr.exit;
+            break;
         }
-        ++retired;
         ++block_insns;
-        onRetire();
-        if (sr.insn.isCondBranch())
-            prof.record(sr.insn.pc, sr.taken);
-        if (sr.insn.isCti())
+        if (sr.condBranch)
+            prof.record(sr.pc, sr.taken);
+        if (sr.cti)
             break; // end of dynamic basic block
     }
+    retired += block_insns;
     onBlockDone(block_insns);
-    return x86::Exit::None;
+    return exit;
 }
 
 void

@@ -64,13 +64,12 @@ class DirectColdExecutor : public ColdExecutor
     }
 
   protected:
-    /** Per-instruction retire accounting hook. */
-    virtual void onRetire() = 0;
-    /** Block-completion hook (n = instructions retired). */
-    virtual void
-    onBlockDone(u64 /*n*/)
-    {
-    }
+    /**
+     * Block-completion hook: retire accounting for the n instructions
+     * the block retired (the exiting instruction of a trap or halt is
+     * not among them).
+     */
+    virtual void onBlockDone(u64 n) = 0;
 
     x86::Memory &mem;
     EngineStats &st;
@@ -87,7 +86,7 @@ class InterpretColdExecutor final : public DirectColdExecutor
     TracePhase phase() const override { return TracePhase::Interp; }
 
   protected:
-    void onRetire() override { ++st.insnsInterp; }
+    void onBlockDone(u64 n) override { st.insnsInterp += n; }
 };
 
 /** Hardware x86-mode execution of cold code (vm.fe). */
@@ -124,14 +123,13 @@ class X86ModeColdExecutor final : public DirectColdExecutor
     const hwassist::DualModeDecoder &decoder() const { return dual; }
 
   protected:
-    void onRetire() override { ++st.insnsX86Mode; }
-
     void
     onBlockDone(u64 n) override
     {
         // The retired instructions were first-level decoded by the
         // hardware; account the decode traffic and the powered-on
         // x86-mode cycles (one work unit per instruction).
+        st.insnsX86Mode += n;
         dual.noteDecoded(n);
         dual.tick(n);
     }

@@ -16,15 +16,24 @@ TranslatedExecutor::run(x86::CpuState &cpu, Translation *t,
     // the registers are written back below, so it is the checkpoint
     // that precise-state recovery replays from.
     ustate.loadArch(cpu);
+    // Only INT3, DIV and IDIV fault, and each marks its block
+    // complex, so blocks without one skip the store log.
+    stores.clear();
     uops::UopExecutor exe(ustate, mem);
+    exe.setStoreLog(t->containsComplex ? &stores : nullptr);
     uops::BlockResult br = exe.run(t->code(), t->fallthroughPc);
 
     const bool is_sbt = t->kind == TransKind::Superblock;
 
     if (br.exit == uops::BlockExit::Fault) {
-        // Precise state mapping -- re-execute with the interpreter
-        // from the region entry until the fault re-occurs (Fig. 1).
+        // Precise state mapping -- undo the region's stores, then
+        // re-execute with the interpreter from the region entry until
+        // the fault re-occurs (Fig. 1).
+        if (!t->containsComplex)
+            cdvm_panic("fault at pc 0x%llx in a block not marked complex",
+                       static_cast<unsigned long long>(br.faultX86Pc));
         ++st.preciseStateRecoveries;
+        stores.undo(mem);
         x86::Interpreter interp(cpu, mem);
         for (unsigned n = 0; n <= t->numX86Insns + 1; ++n) {
             x86::StepResult sr = interp.step();

@@ -45,6 +45,7 @@ class TranslatedExecutor
     EngineStats &st;
     BranchProfile &prof;
     uops::UState ustate;
+    uops::StoreLog stores; //!< the running block's stores, for undo
 };
 
 } // namespace cdvm::engine

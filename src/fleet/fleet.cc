@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "x86/decode_cache.hh"
 
 namespace cdvm::fleet
 {
@@ -185,16 +186,9 @@ FleetServer::buildWorkloads()
         x86::Memory mem;
         c.program.loadInto(mem);
         c.refHalt = c.program.initialState();
-        x86::Interpreter interp(c.refHalt, mem);
-        for (u64 i = 0; i < u64{1} << 32; ++i) {
-            const x86::StepResult r = interp.step();
-            if (r.exit == x86::Exit::Halted) {
-                c.refOk = true;
-                break;
-            }
-            if (r.exit != x86::Exit::None)
-                break;
-        }
+        x86::DecodeCache dcache;
+        x86::Interpreter interp(c.refHalt, mem, &dcache);
+        c.refOk = interp.run(u64{1} << 32) == x86::Exit::Halted;
         if (!c.refOk)
             cdvm_warn("fleet workload %u (seed %llu): reference run "
                       "did not halt",

@@ -29,6 +29,13 @@ UState::storeArch(x86::CpuState &cpu) const
     cpu.eflags = eflags;
 }
 
+void
+StoreLog::undo(x86::Memory &mem) const
+{
+    for (auto e = entries.rbegin(); e != entries.rend(); ++e)
+        mem.writeBlock(e->addr, std::span<const u8>(e->old.data(), e->size));
+}
+
 u32
 UopExecutor::readSized(u8 reg, unsigned size) const
 {
@@ -285,15 +292,27 @@ UopExecutor::body(const Uop &u)
       case UOp::Lds16:
         writeDst(static_cast<u32>(sext(mem.read16(effAddr(u)), 16)));
         break;
-      case UOp::St:
-        mem.write32(effAddr(u), st.regs[u.dst]);
+      case UOp::St: {
+        const Addr a = effAddr(u);
+        if (stores)
+            stores->note(mem, a, 4);
+        mem.write32(a, st.regs[u.dst]);
         break;
-      case UOp::St8:
-        mem.write8(effAddr(u), static_cast<u8>(st.regs[u.dst]));
+      }
+      case UOp::St8: {
+        const Addr a = effAddr(u);
+        if (stores)
+            stores->note(mem, a, 1);
+        mem.write8(a, static_cast<u8>(st.regs[u.dst]));
         break;
-      case UOp::St16:
-        mem.write16(effAddr(u), static_cast<u16>(st.regs[u.dst]));
+      }
+      case UOp::St16: {
+        const Addr a = effAddr(u);
+        if (stores)
+            stores->note(mem, a, 2);
+        mem.write16(a, static_cast<u16>(st.regs[u.dst]));
         break;
+      }
       case UOp::Lea:
         writeDst(static_cast<u32>(effAddr(u)));
         break;
@@ -305,6 +324,8 @@ UopExecutor::body(const Uop &u)
       }
       case UOp::StF: {
         Addr a = effAddr(u);
+        if (stores)
+            stores->note(mem, a, 16);
         mem.writeBlock(a, std::span<const u8>(st.fregs[u.dst].data(),
                                               16));
         break;

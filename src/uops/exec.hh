@@ -13,6 +13,8 @@
 #define CDVM_UOPS_EXEC_HH
 
 #include <array>
+#include <cstring>
+#include <vector>
 
 #include "common/types.hh"
 #include "uops/uop.hh"
@@ -75,6 +77,43 @@ struct BlockResult
     Addr faultX86Pc = 0;    //!< x86 PC tag of the faulting micro-op
 };
 
+/**
+ * Undo log of the guest stores one translated block made: the bytes
+ * each store overwrote. Precise-state recovery undoes it, newest first,
+ * before replaying the block under the interpreter, so the replay sees
+ * block-entry memory as well as block-entry registers.
+ */
+struct StoreLog
+{
+    struct Entry
+    {
+        Addr addr = 0;
+        u32 size = 0; //!< 1, 2, 4 or 16 bytes
+        std::array<u8, 16> old{};
+    };
+    std::vector<Entry> entries;
+
+    void clear() { entries.clear(); }
+
+    /** Record the size bytes at a, before a store overwrites them. */
+    void
+    note(const x86::Memory &mem, Addr a, u32 size)
+    {
+        Entry &e = entries.emplace_back();
+        e.addr = a;
+        e.size = size;
+        if (size == 4) {
+            const u32 v = mem.read32(a);
+            std::memcpy(e.old.data(), &v, 4);
+        } else {
+            mem.fetchWindow(a, e.old.data(), size);
+        }
+    }
+
+    /** Restore every logged store, newest first. */
+    void undo(x86::Memory &mem) const;
+};
+
 /** Micro-op executor over a UState and guest Memory. */
 class UopExecutor
 {
@@ -86,6 +125,9 @@ class UopExecutor
 
     /** Install the XLTx86 functional-unit model (may be null). */
     void setXltHandler(XltHandler *h) { xlt = h; }
+
+    /** Log every store into log (null: no logging). */
+    void setStoreLog(StoreLog *log) { stores = log; }
 
     /**
      * Execute a translated block.
@@ -120,6 +162,7 @@ class UopExecutor
     UState &st;
     x86::Memory &mem;
     XltHandler *xlt = nullptr;
+    StoreLog *stores = nullptr;
 };
 
 } // namespace cdvm::uops

@@ -5,18 +5,6 @@
 namespace cdvm::x86
 {
 
-namespace
-{
-
-/** Same multiplicative scramble the dispatch structures use. */
-inline u64
-mix(u64 pc)
-{
-    return pc * 0x9E3779B97F4A7C15ull;
-}
-
-} // namespace
-
 DecodeCache::DecodeCache(std::size_t entries)
 {
     std::size_t cap = 16;
@@ -25,31 +13,27 @@ DecodeCache::DecodeCache(std::size_t entries)
     lines.resize(cap);
 }
 
-const DecodeResult &
-DecodeCache::fetchDecode(const Memory &mem, Addr pc)
+const Insn *
+DecodeCache::fill(const Memory &mem, Addr pc, Line &l)
 {
-    Line &l = lines[mix(pc) >> 32 & (lines.size() - 1)];
-    // gen is the memory's code version at fill time, offset by one so
-    // that 0 always means "empty line".
-    const u64 want = mem.codeVersion() + 1;
-    if (l.pc == pc && l.gen == want) {
-        ++nHits;
-        return l.dr;
-    }
     ++nMisses;
     u8 window[MAX_INSN_LEN + 1];
     const bool cacheable = mem.fetchCode(pc, window, sizeof(window));
+    const DecodeResult dr =
+        decode(std::span<const u8>(window, sizeof(window)), pc);
     if (!cacheable) {
         // The window read through an unallocated page: decode, but do
         // not cache (see Memory::fetchCode).
-        scratch = decode(std::span<const u8>(window, sizeof(window)),
-                         pc);
-        return scratch;
+        if (!dr.ok)
+            return nullptr;
+        scratch = dr.insn;
+        return &scratch;
     }
-    l.dr = decode(std::span<const u8>(window, sizeof(window)), pc);
     l.pc = pc;
-    l.gen = want;
-    return l.dr;
+    l.gen = mem.codeVersion() + 1;
+    l.insn = dr.insn;
+    l.ok = dr.ok;
+    return l.ok ? &l.insn : nullptr;
 }
 
 void

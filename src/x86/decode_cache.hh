@@ -5,8 +5,9 @@
  * Interpretation is the paper's startup worst case, and in this host
  * reproduction each interpreted step used to re-fetch and re-decode
  * the raw variable-length x86 bytes. This cache memoizes the decoder:
- * a direct-mapped pc -> DecodeResult array (power-of-two capacity,
- * fibonacci-hashed index) validated by a generation tag.
+ * a direct-mapped pc -> Insn array (power-of-two capacity,
+ * fibonacci-hashed index) validated by a generation tag. Lines also
+ * remember bytes that do not decode, so a miss is the only decode.
  *
  * Coherence: fills go through Memory::fetchCode, which marks the
  * touched pages as code pages; any subsequent guest write to a code
@@ -43,11 +44,24 @@ class DecodeCache
     explicit DecodeCache(std::size_t entries = 8192);
 
     /**
-     * Decode the instruction at pc, serving from the cache when the
-     * line is valid for Memory's current code version. The returned
-     * reference stays valid until the next fetchDecode call.
+     * The decoded instruction at pc, or nullptr when the bytes there
+     * do not decode. Served from the cache when the line is valid for
+     * Memory's current code version; the hit path is inline so the
+     * interpreter's step runs straight from the cache line. The
+     * pointer stays valid until the next fetch call.
      */
-    const DecodeResult &fetchDecode(const Memory &mem, Addr pc);
+    const Insn *
+    fetch(const Memory &mem, Addr pc)
+    {
+        Line &l = lines[mix(pc) >> 32 & (lines.size() - 1)];
+        // gen is the memory's code version at fill time, offset by one
+        // so that 0 always means "empty line".
+        if (l.pc == pc && l.gen == mem.codeVersion() + 1) [[likely]] {
+            ++nHits;
+            return l.ok ? &l.insn : nullptr;
+        }
+        return fill(mem, pc, l);
+    }
 
     /** Drop every cached decode (e.g., on program reload). */
     void invalidateAll();
@@ -68,15 +82,23 @@ class DecodeCache
     void exportStats(StatRegistry &reg, const std::string &prefix) const;
 
   private:
+    /** 128 bytes: the tags, the Insn and whether it decoded. */
     struct Line
     {
         Addr pc = 0;
         u64 gen = 0; //!< Memory::codeVersion()+1 at fill; 0: empty
-        DecodeResult dr;
+        Insn insn;   //!< valid iff ok
+        bool ok = false;
     };
 
+    /** Same multiplicative scramble the dispatch structures use. */
+    static u64 mix(u64 pc) { return pc * 0x9E3779B97F4A7C15ull; }
+
+    /** Miss: decode pc into l, or into scratch if uncacheable. */
+    const Insn *fill(const Memory &mem, Addr pc, Line &l);
+
     std::vector<Line> lines; //!< pow2 capacity
-    DecodeResult scratch;    //!< result slot for uncacheable fetches
+    Insn scratch;            //!< result slot for uncacheable fetches
     u64 nHits = 0;
     u64 nMisses = 0;
 };

@@ -69,7 +69,7 @@ struct ModRm
 
 /** Decode ModRM (+ optional SIB and displacement). */
 bool
-decodeModRm(Cursor &cur, ModRm &out, std::string &err)
+decodeModRm(Cursor &cur, ModRm &out, const char *&err)
 {
     u8 modrm = 0;
     if (!cur.fetch8(modrm)) {
@@ -176,7 +176,8 @@ group2Op(u8 ext, Op &op)
 }
 
 bool
-fetchImm(Cursor &cur, unsigned size, bool sext8, i64 &out, std::string &err)
+fetchImm(Cursor &cur, unsigned size, bool sext8, i64 &out,
+         const char *&err)
 {
     if (size == 1) {
         u8 v = 0;
@@ -259,7 +260,7 @@ decode(std::span<const u8> window, Addr pc)
         return res;
     };
 
-    std::string err;
+    const char *err = "";
     ModRm mrm;
 
     // --- Classic ALU rows: op r/m,r ; op r,r/m ; op acc,imm ---------------

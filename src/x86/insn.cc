@@ -7,24 +7,6 @@ namespace cdvm::x86
 {
 
 bool
-Insn::isCti() const
-{
-    switch (op) {
-      case Op::Jcc:
-      case Op::Jmp:
-      case Op::JmpInd:
-      case Op::Call:
-      case Op::CallInd:
-      case Op::Ret:
-      case Op::Hlt:
-      case Op::Int3:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
 Insn::isDirectCti() const
 {
     return op == Op::Jcc || op == Op::Jmp || op == Op::Call;

@@ -125,8 +125,24 @@ struct Insn
     /** Address of the sequential successor. */
     Addr nextPc() const { return pc + length; }
 
-    /** True for any control-transfer instruction. */
-    bool isCti() const;
+    /** True for any control-transfer instruction (HLT and INT3 too). */
+    bool
+    isCti() const
+    {
+        switch (op) {
+          case Op::Jcc:
+          case Op::Jmp:
+          case Op::JmpInd:
+          case Op::Call:
+          case Op::CallInd:
+          case Op::Ret:
+          case Op::Hlt:
+          case Op::Int3:
+            return true;
+          default:
+            return false;
+        }
+    }
     /** True for conditional relative branches. */
     bool isCondBranch() const { return op == Op::Jcc; }
     /** True for direct CTIs with a statically known target. */

@@ -173,38 +173,6 @@ imulTrunc(u32 a, u32 b, unsigned size, u32 &flags_out)
 
 // --- CpuState ---------------------------------------------------------------
 
-u32
-CpuState::readReg(Reg r, unsigned size) const
-{
-    if (size == 1) {
-        if (r >= 4) // AH/CH/DH/BH
-            return (regs[r - 4] >> 8) & 0xff;
-        return regs[r] & 0xff;
-    }
-    if (size == 2)
-        return regs[r] & 0xffff;
-    return regs[r];
-}
-
-void
-CpuState::writeReg(Reg r, unsigned size, u32 v)
-{
-    if (size == 1) {
-        if (r >= 4) { // AH/CH/DH/BH
-            Reg base = static_cast<Reg>(r - 4);
-            regs[base] = (regs[base] & 0xffff00ff) | ((v & 0xff) << 8);
-        } else {
-            regs[r] = (regs[r] & 0xffffff00) | (v & 0xff);
-        }
-        return;
-    }
-    if (size == 2) {
-        regs[r] = (regs[r] & 0xffff0000) | (v & 0xffff);
-        return;
-    }
-    regs[r] = v;
-}
-
 bool
 CpuState::sameArchState(const CpuState &o) const
 {
@@ -214,7 +182,7 @@ CpuState::sameArchState(const CpuState &o) const
 
 // --- Interpreter --------------------------------------------------------------
 
-Addr
+inline Addr
 Interpreter::effAddr(const MemRef &m) const
 {
     u32 a = static_cast<u32>(m.disp);
@@ -225,7 +193,7 @@ Interpreter::effAddr(const MemRef &m) const
     return a;
 }
 
-u32
+inline u32
 Interpreter::readOperand(const Operand &o, unsigned size)
 {
     switch (o.kind) {
@@ -247,7 +215,7 @@ Interpreter::readOperand(const Operand &o, unsigned size)
     cdvm_panic("read of empty operand");
 }
 
-void
+inline void
 Interpreter::writeOperand(const Operand &o, unsigned size, u32 v)
 {
     switch (o.kind) {
@@ -267,35 +235,13 @@ Interpreter::writeOperand(const Operand &o, unsigned size, u32 v)
     }
 }
 
-StepResult
-Interpreter::step()
-{
-    if (dcache) {
-        const DecodeResult &dr = dcache->fetchDecode(mem, cpu.eip);
-        if (!dr.ok) {
-            StepResult sr;
-            sr.exit = Exit::DecodeFault;
-            return sr;
-        }
-        return execute(dr.insn);
-    }
-    u8 window[MAX_INSN_LEN + 1];
-    mem.fetchWindow(cpu.eip, window, sizeof(window));
-    DecodeResult dr = decode(std::span<const u8>(window, sizeof(window)),
-                             cpu.eip);
-    if (!dr.ok) {
-        StepResult sr;
-        sr.exit = Exit::DecodeFault;
-        return sr;
-    }
-    return execute(dr.insn);
-}
-
-StepResult
-Interpreter::execute(const Insn &in)
+inline StepResult
+Interpreter::body(const Insn &in)
 {
     StepResult sr;
-    sr.insn = in;
+    sr.pc = in.pc;
+    sr.cti = in.isCti();
+    sr.condBranch = in.isCondBranch();
     const unsigned size = in.opSize;
     u32 next_eip = static_cast<u32>(in.nextPc());
 
@@ -559,12 +505,44 @@ Interpreter::execute(const Insn &in)
     return sr;
 }
 
+inline StepResult
+Interpreter::stepInline()
+{
+    if (dcache) [[likely]] {
+        if (const Insn *in = dcache->fetch(mem, cpu.eip)) [[likely]]
+            return body(*in);
+    } else {
+        u8 window[MAX_INSN_LEN + 1];
+        mem.fetchWindow(cpu.eip, window, sizeof(window));
+        const DecodeResult dr =
+            decode(std::span<const u8>(window, sizeof(window)), cpu.eip);
+        if (dr.ok)
+            return body(dr.insn);
+    }
+    StepResult sr;
+    sr.pc = cpu.eip;
+    sr.exit = Exit::DecodeFault;
+    return sr;
+}
+
+StepResult
+Interpreter::execute(const Insn &in)
+{
+    return body(in);
+}
+
+StepResult
+Interpreter::step()
+{
+    return stepInline();
+}
+
 Exit
 Interpreter::run(InstCount max_insns)
 {
-    InstCount limit = cpu.icount + max_insns;
+    const InstCount limit = cpu.icount + max_insns;
     while (cpu.icount < limit) {
-        StepResult sr = step();
+        const StepResult sr = stepInline();
         if (sr.exit != Exit::None)
             return sr.exit;
     }

@@ -64,9 +64,38 @@ struct CpuState
     void setReg(Reg r, u32 v) { regs[r] = v; }
 
     /** Read a register at operand size (handles AH/CH/DH/BH). */
-    u32 readReg(Reg r, unsigned size) const;
+    u32
+    readReg(Reg r, unsigned size) const
+    {
+        if (size == 1) {
+            if (r >= 4) // AH/CH/DH/BH
+                return (regs[r - 4] >> 8) & 0xff;
+            return regs[r] & 0xff;
+        }
+        if (size == 2)
+            return regs[r] & 0xffff;
+        return regs[r];
+    }
+
     /** Write a register at operand size, preserving upper bits. */
-    void writeReg(Reg r, unsigned size, u32 v);
+    void
+    writeReg(Reg r, unsigned size, u32 v)
+    {
+        if (size == 1) {
+            if (r >= 4) { // AH/CH/DH/BH
+                const Reg base = static_cast<Reg>(r - 4);
+                regs[base] = (regs[base] & 0xffff00ff) | ((v & 0xff) << 8);
+            } else {
+                regs[r] = (regs[r] & 0xffffff00) | (v & 0xff);
+            }
+            return;
+        }
+        if (size == 2) {
+            regs[r] = (regs[r] & 0xffff0000) | (v & 0xffff);
+            return;
+        }
+        regs[r] = v;
+    }
 
     bool flag(u32 bit) const { return eflags & bit; }
     void
@@ -79,12 +108,19 @@ struct CpuState
     bool sameArchState(const CpuState &o) const;
 };
 
-/** Result of executing one instruction. */
+/**
+ * Result of executing one instruction: the bits the cold loop reads,
+ * not a copy of the instruction.
+ */
 struct StepResult
 {
+    Addr pc = 0;             //!< address of the instruction
     Exit exit = Exit::None;
-    bool taken = false;   //!< branch outcome, if a conditional branch
-    Insn insn;            //!< the instruction that executed
+    bool taken = false;      //!< a taken Jcc, or any jump, call or ret
+    bool cti = false;        //!< a control transfer: ends a dynamic block
+    bool condBranch = false; //!< a conditional branch (profiled)
+
+    bool operator==(const StepResult &) const = default;
 };
 
 class DecodeCache;
@@ -107,7 +143,10 @@ class Interpreter
     {
     }
 
-    /** Fetch, decode and execute one instruction at cpu.eip. */
+    /**
+     * Fetch, decode and execute one instruction at cpu.eip. With a
+     * DecodeCache the instruction runs straight from its cache line.
+     */
     StepResult step();
 
     /**
@@ -120,9 +159,20 @@ class Interpreter
     Exit run(InstCount max_insns);
 
   private:
-    u32 readOperand(const Operand &o, unsigned size);
-    void writeOperand(const Operand &o, unsigned size, u32 v);
-    Addr effAddr(const MemRef &m) const;
+    /**
+     * The one instruction switch. Always inlined: stepInline() expands
+     * it after the fetch and execute() wraps it, so step(), run() and
+     * execute() all run the same body.
+     */
+    [[gnu::always_inline]] inline StepResult body(const Insn &in);
+    /** Fetch at cpu.eip, then body(); step() and run() expand it. */
+    [[gnu::always_inline]] inline StepResult stepInline();
+
+    [[gnu::always_inline]] inline u32 readOperand(const Operand &o,
+                                                  unsigned size);
+    [[gnu::always_inline]] inline void writeOperand(const Operand &o,
+                                                    unsigned size, u32 v);
+    [[gnu::always_inline]] inline Addr effAddr(const MemRef &m) const;
 
     CpuState &cpu;
     Memory &mem;

@@ -20,6 +20,7 @@
 #include "uops/encoding.hh"
 #include "uops/exec.hh"
 #include "x86/asm.hh"
+#include "x86/decode_cache.hh"
 #include "x86/decoder.hh"
 #include "x86/interp.hh"
 
@@ -108,13 +109,19 @@ checkInsn(const Insn &in, const CpuState &start, Memory &mem_template,
     EXPECT_EQ(sa, sb) << label << "\n  insn: " << in.toString();
 }
 
-/** Decode the single instruction an assembler callback emits. */
+/**
+ * Decode the single instruction an assembler callback emits at 0x1000;
+ * its encoding goes to bytes when given.
+ */
 Insn
-assembleOne(const std::function<void(Assembler &)> &emit)
+assembleOne(const std::function<void(Assembler &)> &emit,
+            std::vector<u8> *bytes = nullptr)
 {
     Assembler as(0x1000);
     emit(as);
     std::vector<u8> buf = as.finalize();
+    if (bytes)
+        *bytes = buf;
     buf.resize(x86::MAX_INSN_LEN + 1, 0x90);
     x86::DecodeResult dr =
         x86::decode(std::span<const u8>(buf.data(), buf.size()), 0x1000);
@@ -124,11 +131,15 @@ assembleOne(const std::function<void(Assembler &)> &emit)
 
 /**
  * One random instruction of the differential mix; memory operands
- * use m, which the caller points into the seeded data window.
+ * use m, which the caller points into the seeded data window. Its
+ * encoding at 0x1000 goes to bytes when given.
  */
 Insn
-randomInsn(Pcg32 &rng, const MemRef &m)
+randomInsn(Pcg32 &rng, const MemRef &m, std::vector<u8> *bytes = nullptr)
 {
+    const auto assemble = [&](const std::function<void(Assembler &)> &f) {
+        return assembleOne(f, bytes);
+    };
     static const Op alu_ops[] = {Op::Add, Op::Or, Op::Adc, Op::Sbb,
                                  Op::And, Op::Sub, Op::Xor, Op::Cmp};
 
@@ -136,26 +147,26 @@ randomInsn(Pcg32 &rng, const MemRef &m)
     Insn in;
     switch (pick) {
       case 0:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             a.aluRR(alu_ops[rng.below(8)],
                     static_cast<Reg>(rng.below(8)),
                     static_cast<Reg>(rng.below(8)));
         });
         break;
       case 1:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             a.aluRM(alu_ops[rng.below(8)],
                     static_cast<Reg>(rng.below(8)), m);
         });
         break;
       case 2:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             a.aluMR(alu_ops[rng.below(8)], m,
                     static_cast<Reg>(rng.below(8)));
         });
         break;
       case 3:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             a.aluMI(alu_ops[rng.below(8)], m,
                     static_cast<i32>(rng.next()));
         });
@@ -163,14 +174,14 @@ randomInsn(Pcg32 &rng, const MemRef &m)
       case 4: { // byte ALU incl. high-byte registers
         u8 row = static_cast<u8>(rng.below(8));
         u8 modrm = static_cast<u8>(0xc0 | rng.below(64));
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             a.db(static_cast<u8>(row << 3)); // op r/m8, r8
             a.db(modrm);
         });
         break;
       }
       case 5:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             a.db(0x66);
             a.aluRR(alu_ops[rng.below(8)],
                     static_cast<Reg>(rng.below(8)),
@@ -178,17 +189,17 @@ randomInsn(Pcg32 &rng, const MemRef &m)
         });
         break;
       case 6:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             a.movRM(static_cast<Reg>(rng.below(8)), m);
         });
         break;
       case 7:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             a.movMR(m, static_cast<Reg>(rng.below(8)));
         });
         break;
       case 8:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             if (rng.chance(0.5))
                 a.movzxM(static_cast<Reg>(rng.below(8)), m,
                          rng.chance(0.5) ? 1 : 2);
@@ -199,7 +210,7 @@ randomInsn(Pcg32 &rng, const MemRef &m)
         });
         break;
       case 9:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             a.shiftRI(rng.chance(0.5)
                           ? (rng.chance(0.5) ? Op::Shl : Op::Shr)
                           : (rng.chance(0.5) ? Op::Sar
@@ -210,13 +221,13 @@ randomInsn(Pcg32 &rng, const MemRef &m)
         });
         break;
       case 10:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             a.shiftRCl(rng.chance(0.5) ? Op::Shl : Op::Sar,
                        static_cast<Reg>(rng.below(8)));
         });
         break;
       case 11:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             if (rng.chance(0.5))
                 a.imulRR(static_cast<Reg>(rng.below(8)),
                          static_cast<Reg>(rng.below(8)));
@@ -227,7 +238,7 @@ randomInsn(Pcg32 &rng, const MemRef &m)
         });
         break;
       case 12:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             switch (rng.below(4)) {
               case 0: a.mulA(static_cast<Reg>(rng.below(8))); break;
               case 1: a.imulA(static_cast<Reg>(rng.below(8))); break;
@@ -237,7 +248,7 @@ randomInsn(Pcg32 &rng, const MemRef &m)
         });
         break;
       case 13:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             if (rng.chance(0.5))
                 a.push(static_cast<Reg>(rng.below(8)));
             else
@@ -245,7 +256,7 @@ randomInsn(Pcg32 &rng, const MemRef &m)
         });
         break;
       case 14:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             switch (rng.below(4)) {
               case 0: a.inc(static_cast<Reg>(rng.below(8))); break;
               case 1: a.dec(static_cast<Reg>(rng.below(8))); break;
@@ -255,27 +266,27 @@ randomInsn(Pcg32 &rng, const MemRef &m)
         });
         break;
       case 15:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             a.setcc(static_cast<Cond>(rng.below(16)),
                     static_cast<Reg>(rng.below(8)));
         });
         break;
       case 16:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             a.xchg(static_cast<Reg>(rng.below(8)),
                    static_cast<Reg>(rng.below(8)));
         });
         break;
       case 17:
-        in = assembleOne([&](Assembler &a) { a.cdq(); });
+        in = assemble([&](Assembler &a) { a.cdq(); });
         break;
       case 18:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             a.lea(static_cast<Reg>(rng.below(8)), m);
         });
         break;
       default:
-        in = assembleOne([&](Assembler &a) {
+        in = assemble([&](Assembler &a) {
             if (rng.chance(0.5))
                 a.testRR(static_cast<Reg>(rng.below(8)),
                          static_cast<Reg>(rng.below(8)));
@@ -320,6 +331,105 @@ TEST_P(CrackExecRandom, RandomInstructionMix)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrackExecRandom,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+/**
+ * The interpreter has one instruction body: step() through a
+ * DecodeCache (a hit), step() over raw bytes and execute() of the
+ * decoded instruction give the same StepResult, state and memory.
+ */
+class InterpStepPaths : public ::testing::TestWithParam<u64>
+{
+};
+
+TEST_P(InterpStepPaths, CachedRawAndExecuteAgree)
+{
+    Pcg32 rng(GetParam(), 11);
+    Memory mem_template;
+    for (Addr a = 0x00800000; a < 0x00800000 + 4096; a += 4)
+        mem_template.write32(a, rng.next());
+
+    for (int iter = 0; iter < 400; ++iter) {
+        CpuState start = randomState(rng);
+        start.eip = 0x1000;
+        start.regs[x86::EBX] = 0x00800000 + rng.below(512) * 4;
+        start.regs[x86::ESI] = rng.below(200);
+        MemRef m{x86::EBX, rng.chance(0.5) ? x86::ESI : x86::REG_NONE,
+                 4, static_cast<i32>(rng.below(1024))};
+        std::vector<u8> bytes;
+        const Insn in = randomInsn(rng, m, &bytes);
+        const std::string label = "seed " + std::to_string(GetParam()) +
+                                  " iter " + std::to_string(iter) +
+                                  "\n  insn: " + in.toString();
+
+        Memory mem_c = mem_template;
+        mem_c.writeBlock(0x1000, bytes);
+        Memory mem_r = mem_c;
+        Memory mem_e = mem_c;
+        CpuState cpu_c = start, cpu_r = start, cpu_e = start;
+
+        x86::DecodeCache dc(64);
+        ASSERT_NE(dc.fetch(mem_c, 0x1000), nullptr) << label;
+        const x86::StepResult rc =
+            x86::Interpreter(cpu_c, mem_c, &dc).step();
+        EXPECT_EQ(dc.hits(), 1u) << label;
+        const x86::StepResult rr = x86::Interpreter(cpu_r, mem_r).step();
+        const x86::StepResult re =
+            x86::Interpreter(cpu_e, mem_e).execute(in);
+
+        EXPECT_EQ(rc, rr) << label;
+        EXPECT_EQ(rc, re) << label;
+        EXPECT_EQ(rc.pc, 0x1000u) << label;
+        EXPECT_TRUE(cpu_c.sameArchState(cpu_r)) << label;
+        EXPECT_TRUE(cpu_c.sameArchState(cpu_e)) << label;
+        EXPECT_EQ(cpu_c.icount, cpu_r.icount) << label;
+        EXPECT_EQ(cpu_c.icount, cpu_e.icount) << label;
+        const std::vector<u8> data = mem_c.readBlock(0x00800000, 8192);
+        EXPECT_EQ(data, mem_r.readBlock(0x00800000, 8192)) << label;
+        EXPECT_EQ(data, mem_e.readBlock(0x00800000, 8192)) << label;
+        const std::vector<u8> stack = mem_c.readBlock(0x7ffeff00, 0x200);
+        EXPECT_EQ(stack, mem_r.readBlock(0x7ffeff00, 0x200)) << label;
+        EXPECT_EQ(stack, mem_e.readBlock(0x7ffeff00, 0x200)) << label;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InterpStepPaths,
+                         ::testing::Values(1, 2, 3, 4, 5));
+
+TEST(InterpStepPaths, GeneratedProgramInLockstep)
+{
+    // A whole generated program (calls, indirect calls, loops) stepped
+    // with and without a DecodeCache: every step agrees.
+    workload::ProgramParams pp;
+    pp.seed = 5;
+    pp.numFuncs = 4;
+    pp.mainIterations = 20;
+    const workload::Program prog = workload::generateProgram(pp);
+
+    Memory mem_c, mem_r;
+    prog.loadInto(mem_c);
+    prog.loadInto(mem_r);
+    CpuState cpu_c = prog.initialState();
+    CpuState cpu_r = prog.initialState();
+    x86::DecodeCache dc;
+    x86::Interpreter cached(cpu_c, mem_c, &dc);
+    x86::Interpreter raw(cpu_r, mem_r);
+
+    x86::Exit exit = x86::Exit::None;
+    u64 steps = 0;
+    for (; steps < 5'000'000 && exit == x86::Exit::None; ++steps) {
+        const x86::StepResult rc = cached.step();
+        const x86::StepResult rr = raw.step();
+        ASSERT_EQ(rc, rr) << "step " << steps;
+        ASSERT_TRUE(cpu_c.sameArchState(cpu_r)) << "step " << steps;
+        ASSERT_EQ(cpu_c.icount, cpu_r.icount) << "step " << steps;
+        exit = rc.exit;
+    }
+    EXPECT_EQ(static_cast<int>(exit), static_cast<int>(x86::Exit::Halted));
+    EXPECT_GT(steps, 1000u);
+    EXPECT_GT(dc.hitRate(), 0.9);
+    EXPECT_EQ(mem_c.readBlock(prog.dataBase, prog.dataBytes),
+              mem_r.readBlock(prog.dataBase, prog.dataBytes));
+}
 
 /**
  * Run a block one micro-op at a time through exec(), mapping each

@@ -45,13 +45,14 @@ TEST(DecodeCache, HitsAfterFirstFetch)
     mem.writeBlock(0x1000, as.finalize());
 
     DecodeCache dc(64);
-    const DecodeResult &a = dc.fetchDecode(mem, 0x1000);
-    ASSERT_TRUE(a.ok);
+    const Insn *a = dc.fetch(mem, 0x1000);
+    ASSERT_NE(a, nullptr);
+    const u8 a_len = a->length;
     EXPECT_EQ(dc.misses(), 1u);
-    const DecodeResult &b = dc.fetchDecode(mem, 0x1000);
-    ASSERT_TRUE(b.ok);
+    const Insn *b = dc.fetch(mem, 0x1000);
+    ASSERT_NE(b, nullptr);
     EXPECT_EQ(dc.hits(), 1u);
-    EXPECT_EQ(b.insn.length, a.insn.length);
+    EXPECT_EQ(b->length, a_len);
 }
 
 TEST(DecodeCache, CodeWriteInvalidates)
@@ -63,8 +64,8 @@ TEST(DecodeCache, CodeWriteInvalidates)
     mem.writeBlock(0x1000, as.finalize());
 
     DecodeCache dc(64);
-    ASSERT_TRUE(dc.fetchDecode(mem, 0x1000).ok);
-    ASSERT_TRUE(dc.fetchDecode(mem, 0x1000).ok); // cached
+    ASSERT_NE(dc.fetch(mem, 0x1000), nullptr);
+    ASSERT_NE(dc.fetch(mem, 0x1000), nullptr); // cached
     EXPECT_EQ(dc.hits(), 1u);
     const u64 ver = mem.codeVersion();
 
@@ -77,10 +78,10 @@ TEST(DecodeCache, CodeWriteInvalidates)
     mem.writeBlock(0x1000, as2.finalize());
     EXPECT_GT(mem.codeVersion(), ver);
 
-    const DecodeResult &dr = dc.fetchDecode(mem, 0x1000);
-    ASSERT_TRUE(dr.ok);
-    ASSERT_TRUE(dr.insn.src.isImm());
-    EXPECT_EQ(dr.insn.src.imm, 0x22222222);
+    const Insn *in = dc.fetch(mem, 0x1000);
+    ASSERT_NE(in, nullptr);
+    ASSERT_TRUE(in->src.isImm());
+    EXPECT_EQ(in->src.imm, 0x22222222);
     EXPECT_EQ(dc.misses(), 2u);
 }
 
@@ -93,7 +94,7 @@ TEST(DecodeCache, DataWritesDoNotInvalidate)
     mem.writeBlock(0x1000, as.finalize());
 
     DecodeCache dc(64);
-    ASSERT_TRUE(dc.fetchDecode(mem, 0x1000).ok);
+    ASSERT_NE(dc.fetch(mem, 0x1000), nullptr);
     const u64 ver = mem.codeVersion();
 
     // Heavy store traffic to a pure data page: the common case that
@@ -101,7 +102,7 @@ TEST(DecodeCache, DataWritesDoNotInvalidate)
     for (u32 i = 0; i < 256; ++i)
         mem.write32(0x00800000 + 4 * i, i);
     EXPECT_EQ(mem.codeVersion(), ver);
-    ASSERT_TRUE(dc.fetchDecode(mem, 0x1000).ok);
+    ASSERT_NE(dc.fetch(mem, 0x1000), nullptr);
     EXPECT_EQ(dc.hits(), 1u);
     EXPECT_EQ(dc.misses(), 1u);
 }
@@ -117,17 +118,47 @@ TEST(DecodeCache, FetchThroughHoleIsUncacheable)
     const Addr pc = 0x5000 + Memory::PAGE_SIZE - 1;
     mem.write8(pc, 0xF4); // hlt
     DecodeCache dc(64);
-    ASSERT_TRUE(dc.fetchDecode(mem, pc).ok);
-    ASSERT_TRUE(dc.fetchDecode(mem, pc).ok);
+    ASSERT_NE(dc.fetch(mem, pc), nullptr);
+    ASSERT_NE(dc.fetch(mem, pc), nullptr);
     EXPECT_EQ(dc.hits(), 0u);
     EXPECT_EQ(dc.misses(), 2u);
 
     // Materialize the next page; the window is now hole-free and the
     // decode becomes cacheable again.
     mem.write8(pc + 1, 0x90);
-    ASSERT_TRUE(dc.fetchDecode(mem, pc).ok);
-    ASSERT_TRUE(dc.fetchDecode(mem, pc).ok);
+    ASSERT_NE(dc.fetch(mem, pc), nullptr);
+    ASSERT_NE(dc.fetch(mem, pc), nullptr);
     EXPECT_EQ(dc.hits(), 1u);
+}
+
+TEST(DecodeCache, UndecodableBytesReturnNull)
+{
+    Memory mem;
+    mem.write8(0x1000, 0x0f);
+    mem.write8(0x1001, 0x0b); // UD2: outside the subset
+    DecodeCache dc(64);
+    EXPECT_EQ(dc.fetch(mem, 0x1000), nullptr);
+    EXPECT_EQ(dc.fetch(mem, 0x1000), nullptr); // the failure is cached
+    EXPECT_EQ(dc.misses(), 1u);
+    EXPECT_EQ(dc.hits(), 1u);
+
+    // Undecodable bytes read through a hole: null, and not cached.
+    const Addr pc = 0x5000 + Memory::PAGE_SIZE - 1;
+    mem.write8(pc, 0x0f);
+    EXPECT_EQ(dc.fetch(mem, pc), nullptr);
+    EXPECT_EQ(dc.fetch(mem, pc), nullptr);
+    EXPECT_EQ(dc.misses(), 3u);
+    EXPECT_EQ(dc.hits(), 1u);
+
+    // The interpreter reports the fault at that pc.
+    CpuState cpu;
+    cpu.eip = 0x1000;
+    Interpreter interp(cpu, mem, &dc);
+    const StepResult sr = interp.step();
+    EXPECT_EQ(static_cast<int>(sr.exit),
+              static_cast<int>(Exit::DecodeFault));
+    EXPECT_EQ(sr.pc, 0x1000u);
+    EXPECT_EQ(cpu.icount, 0u);
 }
 
 TEST(DecodeCache, InterpreterSeesCodeRewrite)
@@ -251,16 +282,16 @@ TEST(MemoryPageCache, WriteThroughCachedCodePageBumpsCodeVersion)
     mem.writeBlock(0x1000, as.finalize());
 
     DecodeCache dc(64);
-    ASSERT_TRUE(dc.fetchDecode(mem, 0x1000).ok); // marks a code page
+    ASSERT_NE(dc.fetch(mem, 0x1000), nullptr); // marks a code page
     EXPECT_EQ(mem.read32(0x1001), 0x11111111u); // page now cached
     const u64 ver = mem.codeVersion();
 
     mem.write32(0x1001, 0x22222222); // hits the cached page
     EXPECT_GT(mem.codeVersion(), ver);
-    const DecodeResult &dr = dc.fetchDecode(mem, 0x1000);
-    ASSERT_TRUE(dr.ok);
-    ASSERT_TRUE(dr.insn.src.isImm());
-    EXPECT_EQ(dr.insn.src.imm, 0x22222222);
+    const Insn *in = dc.fetch(mem, 0x1000);
+    ASSERT_NE(in, nullptr);
+    ASSERT_TRUE(in->src.isImm());
+    EXPECT_EQ(in->src.imm, 0x22222222);
     EXPECT_EQ(dc.misses(), 2u); // re-decoded, not served stale
     EXPECT_EQ(dc.hits(), 0u);
 }
